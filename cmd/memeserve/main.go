@@ -60,6 +60,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -203,6 +204,11 @@ func main() {
 	}
 	eng := srv.Engine()
 	log.Printf("memeserve: loaded %s (%d clusters) — serving on %s", snapPath, len(eng.Clusters()), *addr)
+	// Boot leaves garbage behind (the corpus slice's outgrown copies, the
+	// replayed journal), and the serve path allocates too little to trigger
+	// the collection that would let it go: without this it sits in the
+	// resident set for as long as the traffic stays on the pooled paths.
+	debug.FreeOSMemory()
 
 	// All four transport timeouts are set so no client behaviour — slow
 	// headers, trickled bodies, abandoned keep-alives — can pin a connection

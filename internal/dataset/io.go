@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -60,11 +61,13 @@ func (d *Dataset) Save(dir string) error {
 	}
 	defer f.Close()
 	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
+	var line []byte
 	for i := range d.Posts {
-		if err := enc.Encode(&d.Posts[i]); err != nil {
+		if line, err = AppendPost(line[:0], &d.Posts[i]); err != nil {
 			return fmt.Errorf("dataset: encoding post %d: %w", i, err)
 		}
+		line = append(line, '\n')
+		w.Write(line) // a failed write sticks and surfaces from Flush
 	}
 	if err := w.Flush(); err != nil {
 		return fmt.Errorf("dataset: flushing posts: %w", err)
@@ -99,20 +102,62 @@ func Load(dir string) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: opening posts: %w", err)
 	}
 	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReader(f))
+	if d.Posts, err = readPosts(bufio.NewReaderSize(f, 64<<10)); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// readPosts reads a posts.jsonl stream. Lines in the canonical form Save
+// writes take the PostParser fast path; at the first line that does not, the
+// rest of the stream is handed to json.Decoder, which reads any sequence of
+// JSON values and words every error.
+func readPosts(br *bufio.Reader) ([]Post, error) {
+	var (
+		posts  []Post
+		parser PostParser
+	)
+	for {
+		line, err := br.ReadSlice('\n')
+		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+			return nil, fmt.Errorf("dataset: reading posts: %w", err)
+		}
+		if len(line) == 0 && err == io.EOF {
+			return posts, nil
+		}
+		var p Post
+		if n, ok := parser.Parse(line, &p); !ok || (n != len(line) && string(line[n:]) != "\n") {
+			// ReadSlice's bytes die with the next read: copy them.
+			rest := io.MultiReader(bytes.NewReader(bytes.Clone(line)), br)
+			return decodePosts(posts, json.NewDecoder(rest))
+		}
+		if posts, err = appendValid(posts, p); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// decodePosts appends every remaining post of a JSON value stream.
+func decodePosts(posts []Post, dec *json.Decoder) ([]Post, error) {
 	for {
 		var p Post
 		if err := dec.Decode(&p); err == io.EOF {
-			break
+			return posts, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("dataset: decoding post: %w", err)
 		}
-		if !p.Community.Valid() {
-			return nil, fmt.Errorf("dataset: post %d has invalid community %d", p.ID, p.Community)
+		var err error
+		if posts, err = appendValid(posts, p); err != nil {
+			return nil, err
 		}
-		d.Posts = append(d.Posts, p)
 	}
-	return d, nil
+}
+
+func appendValid(posts []Post, p Post) ([]Post, error) {
+	if !p.Community.Valid() {
+		return nil, fmt.Errorf("dataset: post %d has invalid community %d", p.ID, p.Community)
+	}
+	return append(posts, p), nil
 }
 
 // Stats summarises the dataset per platform, mirroring Table 1.

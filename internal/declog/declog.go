@@ -22,6 +22,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +61,8 @@ type Decision struct {
 // Sink receives flushed decision batches. Uploads run on the logger's
 // flusher goroutine, never on the serve path; a failed upload is counted
 // and the batch discarded (the log is an observability stream, not a
-// durability guarantee).
+// durability guarantee). batch is the logger's own buffer, reused once Upload
+// returns: a sink that keeps decisions copies them.
 type Sink interface {
 	Upload(ctx context.Context, batch []Decision) error
 }
@@ -102,6 +104,7 @@ type Logger struct {
 
 	mu     sync.Mutex
 	buf    []Decision
+	spare  []Decision // the drained buffer of the last flush, swapped back in by the next
 	seq    uint64
 	closed bool
 
@@ -150,26 +153,42 @@ func New(cfg Config) (*Logger, error) {
 // and ordered with buffer positions. Returns false when the decision was
 // dropped (buffer full or logger closed). Never blocks on the sink.
 func (l *Logger) Log(d Decision) bool {
+	return l.LogBatch([]Decision{d}) == 1
+}
+
+// LogBatch offers the decisions of one request under a single lock
+// acquisition and a single clock read: the accepted prefix gets a dense Seq
+// range and one shared TimeUnixNS, exactly as len(ds) Log calls that nothing
+// interleaved with would. What the buffer has no room for is dropped and
+// counted; the return value is the number accepted. ds is copied, so the
+// caller may reuse it. Never blocks on the sink.
+//
+//memes:noalloc
+func (l *Logger) LogBatch(ds []Decision) int {
 	l.mu.Lock()
-	if l.closed || len(l.buf) >= l.cfg.BufferSize {
-		l.mu.Unlock()
-		l.dropped.Add(1)
-		return false
+	n := 0
+	if !l.closed {
+		n = min(len(ds), l.cfg.BufferSize-len(l.buf))
 	}
-	l.seq++
-	d.Seq = l.seq
-	d.TimeUnixNS = time.Now().UnixNano()
-	l.buf = append(l.buf, d)
+	at := len(l.buf)
+	l.buf = append(l.buf, ds[:n]...)
+	now := time.Now().UnixNano()
+	for i := at; i < len(l.buf); i++ {
+		l.seq++
+		l.buf[i].Seq = l.seq
+		l.buf[i].TimeUnixNS = now
+	}
 	full := len(l.buf) >= l.cfg.BatchSize
 	l.mu.Unlock()
-	l.logged.Add(1)
-	if full {
+	l.logged.Add(uint64(n))
+	l.dropped.Add(uint64(len(ds) - n))
+	if full && n > 0 {
 		select {
 		case l.kick <- struct{}{}:
 		default:
 		}
 	}
-	return true
+	return n
 }
 
 // Stats snapshots the logger's accounting.
@@ -229,7 +248,10 @@ func (l *Logger) run() {
 }
 
 // flush swaps the buffer out under the lock and uploads it in BatchSize
-// chunks. Decisions of a failed upload are discarded and counted.
+// chunks. Decisions of a failed upload are discarded and counted. The buffer
+// swapped in is the one the previous flush drained, so a steady flusher
+// alternates between two retained buffers; a new one is allocated only while
+// a concurrent flush still holds the spare.
 func (l *Logger) flush(ctx context.Context) {
 	l.mu.Lock()
 	if len(l.buf) == 0 {
@@ -237,16 +259,16 @@ func (l *Logger) flush(ctx context.Context) {
 		return
 	}
 	pending := l.buf
-	l.buf = make([]Decision, 0, l.cfg.BufferSize)
+	l.buf, l.spare = l.spare, nil
+	if l.buf == nil {
+		l.buf = make([]Decision, 0, l.cfg.BufferSize)
+	}
 	l.mu.Unlock()
 
-	for len(pending) > 0 {
-		n := len(pending)
-		if n > l.cfg.BatchSize {
-			n = l.cfg.BatchSize
-		}
-		batch := pending[:n]
-		pending = pending[n:]
+	for rest := pending; len(rest) > 0; {
+		n := min(len(rest), l.cfg.BatchSize)
+		batch := rest[:n]
+		rest = rest[n:]
 		l.batches.Add(1)
 		if err := l.cfg.Sink.Upload(ctx, batch); err != nil {
 			l.flushFailures.Add(1)
@@ -254,14 +276,64 @@ func (l *Logger) flush(ctx context.Context) {
 		}
 		l.flushed.Add(uint64(n))
 	}
+
+	l.mu.Lock()
+	l.spare = pending[:0]
+	l.mu.Unlock()
+}
+
+// AppendDecision appends d as one NDJSON line: byte-identical to
+// json.Marshal(d) followed by a newline, which is what `memereport -replay`
+// and Read parse back. The error is json.Marshal's own (see
+// dataset.AppendPost); dst comes back unextended with it.
+//
+//memes:noalloc
+func AppendDecision(dst []byte, d *Decision) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, d.Seq, 10)
+	dst = append(dst, `,"time_unix_ns":`...)
+	dst = strconv.AppendInt(dst, d.TimeUnixNS, 10)
+	dst = append(dst, `,"endpoint":`...)
+	dst = dataset.AppendJSONString(dst, d.Endpoint)
+	dst = append(dst, `,"generation":`...)
+	dst = strconv.AppendUint(dst, d.Generation, 10)
+	dst = append(dst, `,"post":`...)
+	dst, err := dataset.AppendPost(dst, &d.Post)
+	if err != nil {
+		return dst[:start], err
+	}
+	dst = append(dst, `,"matched":`...)
+	dst = strconv.AppendBool(dst, d.Matched)
+	dst = append(dst, `,"cluster_id":`...)
+	dst = strconv.AppendInt(dst, int64(d.ClusterID), 10)
+	dst = append(dst, `,"distance":`...)
+	dst = strconv.AppendInt(dst, int64(d.Distance), 10)
+	if d.Entry != "" {
+		dst = append(dst, `,"entry":`...)
+		dst = dataset.AppendJSONString(dst, d.Entry)
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendBatch encodes a batch as NDJSON; a decision that cannot be encoded
+// fails the whole batch before any of it reaches the sink.
+func appendBatch(dst []byte, batch []Decision) ([]byte, error) {
+	for i := range batch {
+		var err error
+		if dst, err = AppendDecision(dst, &batch[i]); err != nil {
+			return dst, fmt.Errorf("declog: encoding decision: %w", err)
+		}
+	}
+	return dst, nil
 }
 
 // FileSink appends decisions as NDJSON lines (one Decision JSON document
 // per line) to a file — the format `memereport -replay` reads back.
 type FileSink struct {
-	mu sync.Mutex
-	f  *os.File
-	w  *bufio.Writer
+	mu  sync.Mutex
+	f   *os.File
+	buf []byte // the encoded batch, retained across uploads
 }
 
 // NewFileSink opens (creating or appending) the NDJSON file at path.
@@ -270,33 +342,28 @@ func NewFileSink(path string) (*FileSink, error) {
 	if err != nil {
 		return nil, fmt.Errorf("declog: opening sink file: %w", err)
 	}
-	return &FileSink{f: f, w: bufio.NewWriter(f)}, nil
+	return &FileSink{f: f}, nil
 }
 
-// Upload appends the batch and syncs buffered bytes to the file.
+// Upload appends the batch to the file in one write.
 func (s *FileSink) Upload(ctx context.Context, batch []Decision) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	enc := json.NewEncoder(s.w)
-	for i := range batch {
-		if err := enc.Encode(&batch[i]); err != nil {
-			return fmt.Errorf("declog: encoding decision: %w", err)
-		}
+	var err error
+	if s.buf, err = appendBatch(s.buf[:0], batch); err != nil {
+		return err
 	}
-	return s.w.Flush()
+	_, err = s.f.Write(s.buf)
+	return err
 }
 
-// Close flushes and closes the underlying file.
+// Close closes the underlying file.
 func (s *FileSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.w.Flush(); err != nil {
-		s.f.Close()
-		return err
-	}
 	return s.f.Close()
 }
 
@@ -311,14 +378,12 @@ type HTTPSink struct {
 
 // Upload POSTs the batch; any non-2xx status is an error.
 func (s *HTTPSink) Upload(ctx context.Context, batch []Decision) error {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for i := range batch {
-		if err := enc.Encode(&batch[i]); err != nil {
-			return fmt.Errorf("declog: encoding decision: %w", err)
-		}
+	// A fresh body per upload: the transport may read it after Do returns.
+	body, err := appendBatch(nil, batch)
+	if err != nil {
+		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.URL, &body)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.URL, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("declog: building upload request: %w", err)
 	}

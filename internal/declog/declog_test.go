@@ -1,14 +1,19 @@
 package declog
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,4 +366,232 @@ func TestLoggerConcurrentLog(t *testing.T) {
 			t.Fatalf("seq %d outside dense range [1,%d]", d.Seq, workers*each)
 		}
 	}
+}
+
+// TestLogBatchAcceptsPrefix pins LogBatch's accounting at the edges: the
+// prefix that fits gets the next dense seqs and one shared timestamp, the
+// rest is dropped and counted, and a closed logger drops everything.
+func TestLogBatchAcceptsPrefix(t *testing.T) {
+	sink := &memSink{}
+	l, err := New(Config{Sink: sink, BufferSize: 10, BatchSize: 10, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Decision, 16)
+	for i := range batch {
+		batch[i] = Decision{Seq: 99, TimeUnixNS: 99, ClusterID: i}
+	}
+	if !l.Log(Decision{ClusterID: -1}) {
+		t.Fatal("Log into an empty buffer dropped")
+	}
+	if n := l.LogBatch(batch); n != 9 {
+		t.Fatalf("LogBatch accepted %d of 16 with 9 free, want 9", n)
+	}
+	if n := l.LogBatch(batch); n != 0 {
+		t.Fatalf("LogBatch into a full buffer accepted %d", n)
+	}
+	if n := l.LogBatch(nil); n != 0 {
+		t.Fatalf("empty LogBatch accepted %d", n)
+	}
+	if batch[0].Seq != 99 {
+		t.Error("LogBatch wrote into the caller's slice")
+	}
+	l.Flush(context.Background())
+	if n := l.LogBatch(batch[:3]); n != 3 {
+		t.Fatalf("LogBatch after a flush accepted %d of 3", n)
+	}
+	l.Close()
+	if n := l.LogBatch(batch); n != 0 {
+		t.Fatalf("LogBatch on a closed logger accepted %d", n)
+	}
+	if st := l.Stats(); st.Logged != 13 || st.Dropped != 7+16+16 || st.Flushed != 13 {
+		t.Fatalf("accounting: %+v", st)
+	}
+	got := sink.all()
+	for i, d := range got {
+		if d.Seq != uint64(i+1) {
+			t.Fatalf("decision %d has seq %d", i, d.Seq)
+		}
+		if i >= 1 && i < 10 && (d.ClusterID != i-1 || d.TimeUnixNS != got[1].TimeUnixNS || d.TimeUnixNS == 99) {
+			t.Fatalf("decision %d of the batch: %+v", i, d)
+		}
+	}
+}
+
+// TestLogBatchConcurrent is the 8-writer hammer with batches in the mix:
+// half the writers call LogBatch with varying sizes, half call Log, against a
+// live flusher that swaps its two buffers under them. Every accepted decision
+// arrives exactly once with a dense seq, and each batch holds one contiguous
+// seq range in order.
+func TestLogBatchConcurrent(t *testing.T) {
+	sink := &memSink{}
+	l, err := New(Config{Sink: sink, BufferSize: 1 << 14, BatchSize: 64, FlushInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 8, 120
+	var wg sync.WaitGroup
+	var want atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			scratch := make([]Decision, 0, 40)
+			for r := 0; r < rounds; r++ {
+				if w%2 == 0 {
+					if !l.Log(Decision{Endpoint: fmt.Sprintf("w%d-r%d", w, r)}) {
+						t.Errorf("Log dropped with the buffer sized for the load")
+					}
+					want.Add(1)
+					continue
+				}
+				scratch = scratch[:0]
+				for i := 0; i < 1+(w*r)%37; i++ {
+					scratch = append(scratch, Decision{Endpoint: fmt.Sprintf("w%d-r%d", w, r), ClusterID: i})
+				}
+				if n := l.LogBatch(scratch); n != len(scratch) {
+					t.Errorf("LogBatch accepted %d of %d with the buffer sized for the load", n, len(scratch))
+				}
+				want.Add(int64(len(scratch)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	l.Close()
+	if st := l.Stats(); int64(st.Logged) != want.Load() || int64(st.Flushed) != want.Load() || st.Dropped != 0 {
+		t.Fatalf("accounting after hammer: %+v, want %d logged and flushed", st, want.Load())
+	}
+	got := sink.all()
+	if int64(len(got)) != want.Load() {
+		t.Fatalf("sink received %d decisions, want %d", len(got), want.Load())
+	}
+	for i, d := range got {
+		// One flusher, so arrival order is seq order: dense and exactly once.
+		if d.Seq != uint64(i+1) {
+			t.Fatalf("arrival %d has seq %d", i, d.Seq)
+		}
+		if d.ClusterID > 0 {
+			prev := got[i-1]
+			if prev.Endpoint != d.Endpoint || prev.ClusterID != d.ClusterID-1 || prev.TimeUnixNS != d.TimeUnixNS {
+				t.Fatalf("batch %s torn at seq %d: %+v after %+v", d.Endpoint, d.Seq, d, prev)
+			}
+		}
+	}
+}
+
+// TestFlushReusesBuffers pins the flusher's two retained buffers: in steady
+// state a flush allocates nothing.
+func TestFlushReusesBuffers(t *testing.T) {
+	l, err := New(Config{Sink: discardSink{}, BufferSize: 256, BatchSize: 64, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	batch := make([]Decision, 200)
+	round := func() {
+		l.LogBatch(batch)
+		l.Flush(context.Background())
+	}
+	round() // allocates the second buffer
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("LogBatch + Flush allocates %v times in steady state, want 0", allocs)
+	}
+	if st := l.Stats(); st.Dropped != 0 || st.Flushed != st.Logged {
+		t.Errorf("accounting: %+v", st)
+	}
+}
+
+type discardSink struct{}
+
+func (discardSink) Upload(context.Context, []Decision) error { return nil }
+
+// TestSinksMatchJSONEncoder: FileSink and HTTPSink put on the wire exactly
+// the NDJSON json.Encoder wrote before them, and a decision encoding/json
+// cannot marshal fails the upload with nothing written.
+func TestSinksMatchJSONEncoder(t *testing.T) {
+	batch := []Decision{
+		{Seq: 1, TimeUnixNS: -5, Endpoint: "associate", Generation: 1<<64 - 1,
+			Post:    dataset.Post{ID: 7, Community: dataset.TheDonald, Subreddit: "The_Donald", Timestamp: time.Date(2017, 7, 1, 12, 0, 0, 5, time.UTC), HasImage: true, Hash: 1<<64 - 1, Score: -3, TruthMeme: 1, TruthRoot: 2},
+			Matched: true, ClusterID: 9, Distance: 4, Entry: "smug-frog"},
+		{Seq: 2, Endpoint: "match", Post: dataset.Post{HasImage: true, Hash: 1, TruthMeme: -1, TruthRoot: -1}, ClusterID: -1, Distance: -1},
+		{Seq: 3, Endpoint: "<&>", Entry: "пепе \"the\" frog ", Post: dataset.Post{Subreddit: "a\\b\x01", Timestamp: time.Date(2016, 1, 2, 3, 4, 5, 0, time.FixedZone("", 3600))}},
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for i := range batch {
+		if err := enc.Encode(&batch[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "decisions.ndjson")
+	file, err := NewFileSink(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []Decision{batch[0], {Post: dataset.Post{Timestamp: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)}}}
+	if err := file.Upload(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "encoding decision") {
+		t.Fatalf("uploading a year-10000 decision: %v, want an encoding error", err)
+	}
+	if err := file.Upload(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := file.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("FileSink wrote (err %v):\n%s\nwant:\n%s", err, got, want.Bytes())
+	}
+
+	var posted []byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posted, _ = io.ReadAll(r.Body)
+	}))
+	defer srv.Close()
+	if err := (&HTTPSink{URL: srv.URL}).Upload(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(posted, want.Bytes()) {
+		t.Fatalf("HTTPSink posted:\n%s\nwant:\n%s", posted, want.Bytes())
+	}
+}
+
+// FuzzAppendDecision: for arbitrary field values AppendDecision is
+// json.Marshal plus a newline, byte for byte, or fails exactly when
+// json.Marshal does.
+func FuzzAppendDecision(f *testing.F) {
+	f.Add(uint64(1), int64(1500000000000000000), "associate", uint64(3), int64(7), 4, "The_Donald", int64(1498910400), int64(0), 0, true, uint64(0xdeadbeef), 42, 1, 2, true, 9, 4, "smug-frog")
+	f.Add(uint64(0), int64(-1), "", uint64(0), int64(-1<<63), -9, "", int64(0), int64(0), 0, false, uint64(0), 0, -1, -1, false, -1, -1, "")
+	f.Add(uint64(1<<64-1), int64(1<<63-1), "<script>&amp;", uint64(1<<64-1), int64(1<<63-1), 1<<31, "пепе/🐸", int64(-62167219200), int64(999999999), 3600, true, uint64(1<<64-1), -1<<31, 1<<40, -1<<40, true, 1<<40, 64, "a\"b\\c\x00\x7f \xff")
+	f.Add(uint64(2), int64(2), "match", uint64(1), int64(2), 0, "r", int64(253402300800), int64(0), 0, true, uint64(1), 0, 0, 0, false, 0, 0, "year 10000")
+	f.Add(uint64(2), int64(2), "match", uint64(1), int64(2), 0, "r", int64(-62167219201), int64(0), -86400, true, uint64(1), 0, 0, 0, false, 0, 0, "year -1, odd zone")
+	f.Fuzz(func(t *testing.T, seq uint64, ns int64, endpoint string, gen uint64, id int64, community int, subreddit string, unix, nsec int64, zone int, hasImage bool, hash uint64, score, truthMeme, truthRoot int, matched bool, cluster, distance int, entry string) {
+		ts := time.Unix(unix, nsec)
+		if zone == 0 {
+			ts = ts.UTC()
+		} else {
+			ts = ts.In(time.FixedZone("fuzz", zone%(48*3600)))
+		}
+		d := Decision{
+			Seq: seq, TimeUnixNS: ns, Endpoint: endpoint, Generation: gen,
+			Post: dataset.Post{ID: id, Community: dataset.Community(community), Subreddit: subreddit, Timestamp: ts,
+				HasImage: hasImage, Hash: hash, Score: score, TruthMeme: truthMeme, TruthRoot: truthRoot},
+			Matched: matched, ClusterID: cluster, Distance: distance, Entry: entry,
+		}
+		prefix := []byte("kept\n")
+		got, err := AppendDecision(prefix, &d)
+		want, wantErr := json.Marshal(&d)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("AppendDecision error %v, json.Marshal error %v", err, wantErr)
+		}
+		if err != nil {
+			if !bytes.Equal(got, prefix) {
+				t.Fatalf("failed AppendDecision returned %q, want dst unextended", got)
+			}
+			return
+		}
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], append(want, '\n')) {
+			t.Fatalf("AppendDecision:\n%s\njson.Marshal:\n%s", got[len(prefix):], want)
+		}
+	})
 }

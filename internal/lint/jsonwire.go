@@ -23,14 +23,16 @@ import (
 // them would promise a wire format that does not exist.
 //
 // The analyzer also pins the error envelope: HTTP handlers must put every
-// body on the wire through the shared writeJSON/writeError helpers, so it
-// flags net/http.Error calls and encoding/json Encoders attached straight
-// to an http.ResponseWriter anywhere outside writeJSON itself — both are
-// how a handler would silently ship a bare-string error body instead of
-// {"error": ..., "reason": ...}.
+// body on the wire through the shared helpers — writeJSON, writeError (which
+// calls it), and writeRaw for a 200 body a handler encoded itself into a
+// pooled buffer — so it flags net/http.Error calls, encoding/json Encoders
+// attached straight to an http.ResponseWriter outside writeJSON, and Write
+// calls on an http.ResponseWriter outside writeRaw: all three are how a
+// handler would silently ship a body that is not the envelope, or an error
+// that is not {"error": ..., "reason": ...}.
 var JSONWire = &Analyzer{
 	Name: "jsonwire",
-	Doc:  "requires explicit snake_case json tags on structs serialized by server, cli, and declog, and the shared writeJSON/writeError envelope in handlers",
+	Doc:  "requires explicit snake_case json tags on structs serialized by server, cli, and declog, and the shared writeJSON/writeError/writeRaw helpers in handlers",
 	Run:  runJSONWire,
 }
 
@@ -135,19 +137,18 @@ func runJSONWire(pass *Pass) error {
 }
 
 // checkHandRolledWrites flags response writes that bypass the shared
-// writeJSON/writeError envelope: net/http.Error (bare text/plain body) and
-// json.NewEncoder over an http.ResponseWriter outside writeJSON (an
-// envelope-free JSON body). writeJSON itself is the one sanctioned place a
-// ResponseWriter meets an encoder.
+// helpers: net/http.Error (bare text/plain body), json.NewEncoder over an
+// http.ResponseWriter outside writeJSON (an envelope-free JSON body), and
+// Write on an http.ResponseWriter outside writeRaw (hand-encoded bytes with
+// whatever status and content type the caller remembered to set). A type's
+// own Write method is exempt: that is a ResponseWriter wrapper forwarding,
+// not a handler writing.
 func checkHandRolledWrites(pass *Pass) {
 	iface := respWriterIface(pass.Pkg)
 	if iface == nil {
 		return // package never imports net/http; nothing to hand-roll
 	}
 	enclosingFuncs(pass.Files, func(decl *ast.FuncDecl) {
-		if decl.Name.Name == "writeJSON" {
-			return
-		}
 		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -157,9 +158,17 @@ func checkHandRolledWrites(pass *Pass) {
 			switch {
 			case funcPkgPath(fn) == "net/http" && fn.Name() == "Error":
 				pass.Reportf(call.Pos(), "http.Error writes a bare text body outside the JSON error envelope; answer through writeError so every error is {\"error\": ..., \"reason\": ...}")
-			case funcPkgPath(fn) == "encoding/json" && fn.Name() == "NewEncoder" && len(call.Args) == 1:
+			case funcPkgPath(fn) == "encoding/json" && fn.Name() == "NewEncoder" && len(call.Args) == 1 && decl.Name.Name != "writeJSON":
 				if t := pass.TypesInfo.TypeOf(call.Args[0]); t != nil && types.Implements(t, iface) {
 					pass.Reportf(call.Pos(), "json.NewEncoder over an http.ResponseWriter bypasses writeJSON; handlers must put bodies on the wire through the shared helpers")
+				}
+			case fn != nil && fn.Name() == "Write" && decl.Name.Name != "writeRaw" && !(decl.Recv != nil && decl.Name.Name == "Write"):
+				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if t := pass.TypesInfo.TypeOf(sel.X); t != nil && types.Implements(t, iface) {
+					pass.Reportf(call.Pos(), "Write on an http.ResponseWriter bypasses the shared helpers; hand-encoded bodies go on the wire through writeRaw")
 				}
 			}
 			return true

@@ -21,8 +21,9 @@
 //     that force heap allocations.
 //   - jsonwire: structs serialized by internal/server, internal/cli, and
 //     internal/declog must carry explicit snake_case json tags, and HTTP
-//     handlers must answer through the shared writeJSON/writeError helpers
-//     instead of hand-rolling http.Error or direct ResponseWriter encoders.
+//     handlers must answer through the shared writeJSON/writeError/writeRaw
+//     helpers instead of hand-rolling http.Error, direct ResponseWriter
+//     encoders or raw ResponseWriter writes.
 //
 // Escape hatches are explicit, greppable comment directives, each carrying
 // a reason: //memes:nondet (function-level: sanctioned wall-clock/rand use),

@@ -39,17 +39,45 @@ func decode(data []byte) (matchResponse, error) {
 
 var _ = notWire{}
 
-// Hand-rolled response writes: the envelope check fires on http.Error and
-// on encoders attached straight to a ResponseWriter, everywhere except the
-// sanctioned writeJSON helper.
+// Hand-rolled response writes: the envelope check fires on http.Error, on
+// encoders attached straight to a ResponseWriter, and on raw Writes to one,
+// everywhere except the sanctioned helpers writeJSON and writeRaw.
 
 func handleBad(w http.ResponseWriter) {
 	http.Error(w, "boom", 500)                  // want "http.Error writes a bare text body outside the JSON error envelope"
 	json.NewEncoder(w).Encode(map[string]any{}) // want "json.NewEncoder over an http.ResponseWriter bypasses writeJSON"
+	w.Write([]byte(`{"ok":true}`))              // want "Write on an http.ResponseWriter bypasses the shared helpers"
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v) // ok: the one sanctioned encoder site
+	w.Write(nil)                 // want "Write on an http.ResponseWriter bypasses the shared helpers"
+}
+
+func writeRaw(w http.ResponseWriter, body []byte) {
+	w.Write(body)                // ok: the one sanctioned raw-bytes site
+	json.NewEncoder(w).Encode(0) // want "json.NewEncoder over an http.ResponseWriter bypasses writeJSON"
+}
+
+// trackingWriter wraps a ResponseWriter; its own Write forwarding is not a
+// handler writing a body.
+type trackingWriter struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (t *trackingWriter) Write(b []byte) (int, error) {
+	t.wrote = true
+	return t.ResponseWriter.Write(b) // ok: a wrapper's Write method
+}
+
+func (t *trackingWriter) flushBad(b []byte) {
+	t.ResponseWriter.Write(b) // want "Write on an http.ResponseWriter bypasses the shared helpers"
+	t.Write(b)                // want "Write on an http.ResponseWriter bypasses the shared helpers"
+}
+
+func writeElsewhere(buf *bytes.Buffer, body []byte) {
+	buf.Write(body) // ok: not a ResponseWriter
 }
 
 func encodeElsewhere(v matchResponse) ([]byte, error) {

@@ -314,7 +314,7 @@ func TestDecisionLogHammer(t *testing.T) {
 	if len(posts) > 64 {
 		posts = posts[:64]
 	}
-	body, err := json.Marshal(associateRequest{Posts: posts})
+	body, err := json.Marshal(postsRequest{Posts: posts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +383,11 @@ func TestDecisionLogHammer(t *testing.T) {
 		if d.Seq == 0 || int64(d.Seq) > wantDecisions {
 			t.Fatalf("seq %d outside dense range [1,%d]", d.Seq, wantDecisions)
 		}
+		// Each request is one LogBatch: its posts hold one contiguous seq
+		// range in request order, whatever else was logging.
+		if want := posts[(d.Seq-1)%uint64(len(posts))].ID; d.Post.ID != want {
+			t.Fatalf("seq %d carries post %d, want %d: a request's decisions were interleaved", d.Seq, d.Post.ID, want)
+		}
 	}
 }
 
@@ -443,7 +448,7 @@ func TestMetricsScrapeAgreesWithStatsz(t *testing.T) {
 	if code, _ := e.do(t, http.MethodPost, "/v1/match", []byte(miss), nil); code != http.StatusOK {
 		t.Fatalf("match miss status %d", code)
 	}
-	body, _ := json.Marshal(associateRequest{Posts: e.ds.Posts[:8]})
+	body, _ := json.Marshal(postsRequest{Posts: e.ds.Posts[:8]})
 	if code, _ := e.do(t, http.MethodPost, "/v1/associate", body, nil); code != http.StatusOK {
 		t.Fatal("associate failed")
 	}
@@ -550,7 +555,7 @@ func TestStatszDecisionLogBlock(t *testing.T) {
 	}
 	defer logger.Close()
 	e := newAnalysisEnv(t, nil, func(c *Config) { c.DecisionLog = logger })
-	body, _ := json.Marshal(associateRequest{Posts: e.ds.Posts[:4]})
+	body, _ := json.Marshal(postsRequest{Posts: e.ds.Posts[:4]})
 	if code, _ := e.do(t, http.MethodPost, "/v1/associate", body, nil); code != http.StatusOK {
 		t.Fatal("associate failed")
 	}

@@ -15,13 +15,15 @@ import (
 
 // logAssociateDecisions appends one decision per post of a served
 // /v1/associate batch — matched or not, so a replay sees the same
-// denominator the live request did. assocs must be sorted by PostIndex
-// ascending, which Engine.Associate guarantees.
-func (s *Server) logAssociateDecisions(gen uint64, eng *memes.Engine, posts []memes.Post, assocs []memes.Association) {
+// denominator the live request did — as one declog.LogBatch, built in the
+// request's scratch. assocs must be sorted by PostIndex ascending, which
+// Engine.Associate guarantees.
+func (s *Server) logAssociateDecisions(sc *wireScratch, gen uint64, eng *memes.Engine, posts []memes.Post, assocs []memes.Association) {
 	if s.declog == nil {
 		return
 	}
 	clusters := eng.Clusters()
+	ds := sc.decisions[:0]
 	ai := 0
 	for i := range posts {
 		d := declog.Decision{
@@ -39,8 +41,10 @@ func (s *Server) logAssociateDecisions(gen uint64, eng *memes.Engine, posts []me
 			d.Distance = a.Distance
 			d.Entry = clusters[a.ClusterID].EntryName()
 		}
-		s.declog.Log(d)
+		ds = append(ds, d)
 	}
+	sc.decisions = ds
+	s.declog.LogBatch(ds)
 }
 
 // logMatchDecision captures a single-hash lookup (/v1/match or

@@ -191,7 +191,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, reasonInternal, "rendering metrics: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf.Bytes())
+	s.writeRaw(w, "text/plain; version=0.0.4; charset=utf-8", buf.Bytes())
 }

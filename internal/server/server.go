@@ -26,9 +26,13 @@
 //	GET  /v1/clusters                               the annotated-cluster artifact
 //	POST /v1/admin/reload                           hot-swap a fresh snapshot
 //
-// Request/response shapes live in wire.go — the de-facto API spec. Every
-// served association and match decision can additionally be streamed to a
-// decision log (Config.DecisionLog, internal/declog) for offline replay
+// Request/response shapes live in wire.go — the de-facto API spec. A JSON
+// body is read whole and must be one value: trailing bytes are a 400, a body
+// over Config.MaxBodyBytes a 413 body_too_large. The {"posts":[…]} bodies and
+// the associate response go through the hand-written Post codec (codec.go),
+// which declines to encoding/json for anything outside the canonical shape.
+// Every served association and match decision can additionally be streamed
+// to a decision log (Config.DecisionLog, internal/declog) for offline replay
 // through cmd/memereport.
 //
 // Concurrent /v1/match lookups are coalesced by a micro-batcher into single
@@ -357,9 +361,9 @@ func (t *trackingWriter) Write(b []byte) (int, error) {
 // --- responses ---------------------------------------------------------------
 
 // The wire shapes (request/response DTOs, error reasons) live in wire.go;
-// writeJSON and writeError below are the only two ways a handler puts a
-// body on the wire, so the envelope stays uniform (the jsonwire analyzer
-// enforces this).
+// writeJSON, writeError and writeRaw below are the only three ways a handler
+// puts a body on the wire, so the envelope stays uniform (the jsonwire
+// analyzer enforces this).
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	if code >= 400 {
@@ -374,6 +378,15 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeRaw puts an already-encoded 200 body on the wire with one Write: the
+// hand-encoded associate response from its pooled buffer, the metrics
+// exposition. Errors never come through here; they are writeError's.
+func (s *Server) writeRaw(w http.ResponseWriter, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, reason, msg string) {
@@ -401,42 +414,36 @@ func (s *Server) writeQueryError(w http.ResponseWriter, prefix string, err error
 
 func (s *Server) handleAssociate(w http.ResponseWriter, r *http.Request) {
 	s.stats.associateRequests.Add(1)
-	var req associateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, reasonBadRequest, "decoding request: "+err.Error())
+	sc := scratchPool.Get().(*wireScratch)
+	defer putScratch(sc)
+	posts, ok := s.readPosts(w, r, sc)
+	if !ok {
 		return
 	}
 	eng, gen := s.hot.Pin()
-	assocs, err := eng.Associate(r.Context(), req.Posts)
+	assocs, err := eng.AssociateAppend(r.Context(), posts, sc.assocs[:0])
+	sc.assocs = assocs
 	if err != nil {
 		s.writeQueryError(w, "associate", err)
 		return
 	}
-	s.stats.associatedPosts.Add(int64(len(req.Posts)))
+	s.stats.associatedPosts.Add(int64(len(posts)))
 	s.stats.associations.Add(int64(len(assocs)))
-	s.logAssociateDecisions(gen, eng, req.Posts, assocs)
-	resp := associateResponse{
-		Posts:        len(req.Posts),
-		Matched:      len(assocs),
-		Generation:   gen,
-		Associations: make([]associationJSON, 0, len(assocs)),
-	}
-	clusters := eng.Clusters()
-	for _, a := range assocs {
-		resp.Associations = append(resp.Associations, associationJSON{
-			PostIndex: a.PostIndex,
-			ClusterID: a.ClusterID,
-			Distance:  a.Distance,
-			Entry:     clusters[a.ClusterID].EntryName(),
-		})
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.logAssociateDecisions(sc, gen, eng, posts, assocs)
+	sc.out = appendAssociateResponse(sc.out[:0], len(posts), gen, assocs, eng.Clusters())
+	s.writeRaw(w, "application/json", sc.out)
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	s.stats.matchRequests.Add(1)
+	sc := scratchPool.Get().(*wireScratch)
+	defer putScratch(sc)
+	body, ok := s.readBody(w, r, sc)
+	if !ok {
+		return
+	}
 	var req matchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, reasonBadRequest, "decoding request: "+err.Error())
 		return
 	}
@@ -503,12 +510,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, reasonIngestDisabled, "ingest disabled: start the server with an ingest configuration")
 		return
 	}
-	var req ingestRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, reasonBadRequest, "decoding request: "+err.Error())
+	sc := scratchPool.Get().(*wireScratch)
+	defer putScratch(sc)
+	posts, ok := s.readPosts(w, r, sc)
+	if !ok {
 		return
 	}
-	rec, err := s.ingestor.Ingest(r.Context(), req.Posts)
+	rec, err := s.ingestor.Ingest(r.Context(), posts) // copies what it keeps
 	if err != nil {
 		switch {
 		case errors.Is(err, memes.ErrIngestPoolFull):

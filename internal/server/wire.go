@@ -25,6 +25,7 @@ import (
 // clients and load balancers can react without parsing prose.
 const (
 	reasonBadRequest       = "bad_request"
+	reasonBodyTooLarge     = "body_too_large"
 	reasonInternal         = "internal"
 	reasonOverloaded       = "overloaded"
 	reasonDeadline         = "deadline"
@@ -46,9 +47,11 @@ type errorResponse struct {
 	Reason string `json:"reason"`
 }
 
-// associateRequest is the POST /v1/associate body: an arbitrary batch of
-// posts to run Step 6 association over.
-type associateRequest struct {
+// postsRequest is the body of POST /v1/associate (an arbitrary batch of
+// posts to run Step 6 association over) and of POST /v1/ingest (new posts
+// for the streaming ingest path). Handlers take it from readPosts, whose
+// fast path parses the canonical encoding of this shape without reflection.
+type postsRequest struct {
 	Posts []memes.Post `json:"posts"`
 }
 
@@ -61,7 +64,8 @@ type associationJSON struct {
 	Entry     string `json:"entry,omitempty"`
 }
 
-// associateResponse answers POST /v1/associate.
+// associateResponse answers POST /v1/associate. The handler writes it with
+// appendAssociateResponse, which a test pins to this struct's encoding.
 type associateResponse struct {
 	Posts        int               `json:"posts"`
 	Matched      int               `json:"matched"`
@@ -86,12 +90,6 @@ type matchResponse struct {
 	Community  string `json:"community,omitempty"`
 	Hash       string `json:"hash"`
 	Generation uint64 `json:"generation"`
-}
-
-// ingestRequest is the POST /v1/ingest body: new posts for the streaming
-// ingest path.
-type ingestRequest struct {
-	Posts []memes.Post `json:"posts"`
 }
 
 // ingestResponse answers POST /v1/ingest with the ingest receipt: how far
