@@ -575,10 +575,13 @@ func BenchmarkEngineSnapshot(b *testing.B) {
 }
 
 // steadyStrategies are the index strategies whose sealed query path is
-// allocation-free in steady state: both compile to the flat BK-tree array
-// form and answer RadiusScratch from pooled scratch. CI pins their steady
-// benchmarks to 0 allocs/op, the same contract PhashExtraction carries.
-func steadyStrategies() []IndexStrategy { return []IndexStrategy{IndexBKTree, IndexSharded} }
+// allocation-free in steady state — all three built-ins: the tree
+// strategies answer RadiusScratch from pooled scratch, the multi-index
+// reduces inside NearestWithin. CI pins their steady benchmarks to 0
+// allocs/op, the same contract PhashExtraction carries.
+func steadyStrategies() []IndexStrategy {
+	return []IndexStrategy{IndexBKTree, IndexMultiIndex, IndexSharded}
+}
 
 // BenchmarkEngineAssociateSteady measures the serve path the way a resident
 // server actually runs it: AssociateAppend into a recycled caller-owned
@@ -773,6 +776,7 @@ func BenchmarkAblation_IndexVsBrute(b *testing.B) {
 		for i, h := range hashes {
 			mi.Insert(h, int64(i))
 		}
+		mi.Seal()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			mi.Radius(query, 8)

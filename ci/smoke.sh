@@ -180,6 +180,9 @@ done
 hist=$(metric 'memes_request_duration_seconds_bucket{endpoint="match",le="+Inf"}')
 want=$(jq -r '.requests.match' "$workdir/stats_pre_scrape.json")
 [ "$hist" = "$want" ] || { echo "FAIL: match histogram count $hist, want $want"; exit 1; }
+# The ladder reaches below a lookup's latency: its first bucket is 10µs.
+[ -n "$(metric 'memes_request_duration_seconds_bucket{endpoint="match",le="1e-05"}')" ] \
+  || { echo "FAIL: match histogram has no le=1e-05 bucket"; exit 1; }
 jq -e '.decision_log.enabled == true and .decision_log.logged > 0 and .decision_log.dropped == 0' \
   "$workdir/stats_pre_scrape.json" >/dev/null \
   || { echo "FAIL: decision log lost entries: $(jq -c '.decision_log' "$workdir/stats_pre_scrape.json")"; exit 1; }

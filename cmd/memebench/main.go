@@ -175,9 +175,9 @@ var gatedPrefixes = []string{"PipelineRun/", "EngineAssociate/"}
 var allocGatedPrefixes = []string{"EngineAssociateSteady/", "EngineMatchSteady/", "PhashExtraction"}
 
 // steadyStrategies lists the index strategies whose steady-state serve path
-// is pinned to zero allocations (the flat BK-tree forms).
+// is pinned to zero allocations: every built-in.
 func steadyStrategies() []memes.IndexStrategy {
-	return []memes.IndexStrategy{memes.IndexBKTree, memes.IndexSharded}
+	return []memes.IndexStrategy{memes.IndexBKTree, memes.IndexMultiIndex, memes.IndexSharded}
 }
 
 // validateLabel rejects labels that would escape the working directory when

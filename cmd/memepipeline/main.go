@@ -39,7 +39,7 @@ func main() {
 	eps := flag.Int("eps", 8, "DBSCAN clustering threshold")
 	theta := flag.Int("theta", 8, "annotation/association Hamming threshold")
 	workers := flag.Int("workers", 0, "worker pool size for every pipeline stage (0 = GOMAXPROCS)")
-	indexStrategy := flag.String("index", "", "medoid index strategy (empty = default): "+strategyList())
+	indexStrategy := flag.String("index", "", "medoid index strategy (empty = multiindex, the default): "+strategyList())
 	savePath := flag.String("save", "", "write the built engine snapshot to this file")
 	loadPath := flag.String("load", "", "load the engine from this snapshot instead of building (skips Steps 2-5)")
 	format := flag.String("format", "text", "output format: text or json")

@@ -109,10 +109,10 @@ func WithAssociationThreshold(theta int) Option {
 }
 
 // WithIndex selects the medoid-index strategy the engine's Step 6 serve
-// path queries: IndexBKTree (the default), IndexMultiIndex, or IndexSharded
+// path queries: IndexMultiIndex (the default), IndexBKTree, or IndexSharded
 // — see IndexStrategies for the full registered set. Every strategy serves
 // bitwise-identical Associate/Match/Result output; the choice only shapes
-// the cost profile (single-tree pruning vs banded lookups vs parallel
+// the cost profile (banded lookups vs single-tree pruning vs parallel
 // sharded fan-out). Applies to both NewEngine and LoadEngine — snapshots
 // never persist the index itself, so a snapshot written under one strategy
 // loads under any other.

@@ -29,6 +29,7 @@ func dbscanReference(hashes []phash.Hash, counts []int, cfg DBSCANConfig) Result
 	for i, h := range hashes {
 		index.Insert(h, int64(i))
 	}
+	index.Seal()
 	const unvisited = -2
 	labels := res.Labels
 	for i := range labels {

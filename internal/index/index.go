@@ -13,7 +13,6 @@
 package index
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -47,8 +46,8 @@ type MedoidIndex interface {
 }
 
 // WorkerBound is implemented by indexes whose queries fan work out
-// internally (ShardedBK, MultiIndex). The pipeline calls SetWorkers with its
-// configured worker bound right after construction, so one Config.Workers
+// internally (ShardedBK). The pipeline calls SetWorkers with its configured
+// worker bound right after construction, so one Config.Workers
 // knob governs every stage including per-query index parallelism; n == 0
 // means GOMAXPROCS, n == 1 means fully sequential queries. Implementations
 // must serve identical results for any value.
@@ -56,23 +55,12 @@ type WorkerBound interface {
 	SetWorkers(n int)
 }
 
-// CtxQuerier is implemented by indexes whose radius queries spawn internal
-// concurrency and can therefore honour cancellation (ShardedBK, MultiIndex).
-// RadiusCtx must return the same match set as Radius when ctx is never
-// cancelled, and (nil, ctx.Err()) once it is; no goroutine may outlive the
-// call. Query paths type-assert for this interface and fall back to the
-// plain Radius for purely sequential indexes (BKTree), which cannot block
-// on anything cancellable.
-type CtxQuerier interface {
-	RadiusCtx(ctx context.Context, q phash.Hash, radius int) ([]phash.Match, error)
-}
-
 // Sealer is implemented by indexes that can compile themselves into an
 // immutable, query-optimised form once all inserts are done (BKTree and
-// ShardedBK flatten their pointer trees into contiguous arrays). The
-// pipeline calls Seal after the last Insert; sealing must not change any
-// query result — bitwise-identical output is part of the contract. Insert
-// after Seal may panic.
+// ShardedBK flatten their pointer trees into contiguous arrays, MultiIndex
+// builds its band table). The pipeline calls Seal after the last Insert;
+// sealing must not change any query result — bitwise-identical output is
+// part of the contract. Insert after Seal may panic.
 type Sealer interface {
 	Seal()
 }
@@ -86,6 +74,15 @@ type ScratchQuerier interface {
 	RadiusScratch(q phash.Hash, radius int, s *phash.Scratch) []phash.Match
 }
 
+// NearestWithiner is implemented by indexes that answer Step 6 in one
+// pass: the id of the closest stored pair within radius of q and its
+// distance, ties to the lowest id, ok false when nothing is that close —
+// what a caller would reduce a Radius result to, with no match set
+// materialised and no scratch needed.
+type NearestWithiner interface {
+	NearestWithin(q phash.Hash, radius int) (id int64, dist int, ok bool)
+}
+
 // Strategy names a registered MedoidIndex implementation. The zero value
 // selects the default strategy.
 type Strategy string
@@ -93,11 +90,12 @@ type Strategy string
 // The built-in strategies.
 const (
 	// BKTree is a Burkhard-Keller tree: one shared metric tree, no
-	// per-query parallelism. The default.
+	// per-query parallelism. At the pipeline's radius of 8 it visits most
+	// of its nodes, which is why it is no longer the default.
 	BKTree Strategy = "bktree"
-	// MultiIndex is multi-index hashing: banded exact lookup tables with
-	// distance-1 band probing, falling back to a parallel linear scan for
-	// large radii.
+	// MultiIndex is multi-index hashing: one flat table of eight 8-bit
+	// bands, probed with the substring bound below radius 16 and scanned
+	// linearly from there. The default.
 	MultiIndex Strategy = "multiindex"
 	// Sharded partitions hashes across per-shard BK-trees and fans radius
 	// queries out across the shards in parallel.
@@ -105,25 +103,25 @@ const (
 )
 
 // Default is the strategy used when none is configured.
-const Default = BKTree
+const Default = MultiIndex
 
-// Every built-in implementation must satisfy the interface; the two indexes
-// with internal query fan-out must also be worker-bounded and cancellable.
+// Every built-in implementation must satisfy the interface; the one index
+// with internal query fan-out must also be worker-bounded.
 var (
 	_ MedoidIndex = (*phash.BKTree)(nil)
 	_ MedoidIndex = (*phash.MultiIndex)(nil)
 	_ MedoidIndex = (*ShardedBK)(nil)
-	_ WorkerBound = (*phash.MultiIndex)(nil)
 	_ WorkerBound = (*ShardedBK)(nil)
-	_ CtxQuerier  = (*phash.MultiIndex)(nil)
-	_ CtxQuerier  = (*ShardedBK)(nil)
 
-	// The tree-backed strategies additionally seal into flat arrays and
-	// serve the zero-allocation scratch query path.
-	_ Sealer         = (*phash.BKTree)(nil)
-	_ Sealer         = (*ShardedBK)(nil)
-	_ ScratchQuerier = (*phash.BKTree)(nil)
-	_ ScratchQuerier = (*ShardedBK)(nil)
+	// Every built-in seals into flat arrays and serves the zero-allocation
+	// scratch query path; the multi-index also fuses Step 6 into one pass.
+	_ Sealer          = (*phash.BKTree)(nil)
+	_ Sealer          = (*phash.MultiIndex)(nil)
+	_ Sealer          = (*ShardedBK)(nil)
+	_ ScratchQuerier  = (*phash.BKTree)(nil)
+	_ ScratchQuerier  = (*phash.MultiIndex)(nil)
+	_ ScratchQuerier  = (*ShardedBK)(nil)
+	_ NearestWithiner = (*phash.MultiIndex)(nil)
 )
 
 var (

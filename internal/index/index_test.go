@@ -46,6 +46,54 @@ func linearScan(hashes []phash.Hash, ids []int64, q phash.Hash, radius int) map[
 	return out
 }
 
+// scanNearestWithin is the Step 6 reduction over the linear scan: minimum
+// distance within radius, ties to the lowest id.
+func scanNearestWithin(hashes []phash.Hash, ids []int64, q phash.Hash, radius int) (id int64, dist int, ok bool) {
+	for i, h := range hashes {
+		d := phash.Distance(h, q)
+		if d > radius {
+			continue
+		}
+		if !ok || d < dist || (d == dist && ids[i] < id) {
+			id, dist, ok = ids[i], d, true
+		}
+	}
+	return id, dist, ok
+}
+
+// checkQueryForms asserts what the sealed index serves beyond the Radius
+// match set: the scratch path is bitwise identical to Radius, a fused
+// NearestWithin elects the winner the linear scan does, and the multi-index
+// returns one match per hash, ids ascending, sorted by distance then hash.
+func checkQueryForms(t *testing.T, s Strategy, idx MedoidIndex, hashes []phash.Hash, ids []int64, q phash.Hash, radius int) {
+	t.Helper()
+	raw := idx.Radius(q, radius)
+	if sq, ok := idx.(ScratchQuerier); ok {
+		var sc phash.Scratch
+		if got := sq.RadiusScratch(q, radius, &sc); !matchesEqual(got, raw) {
+			t.Errorf("%s: RadiusScratch(%v, %d) is not bitwise identical to Radius", s, q, radius)
+		}
+	}
+	if nw, ok := idx.(NearestWithiner); ok {
+		wantID, wantDist, wantOK := scanNearestWithin(hashes, ids, q, radius)
+		if id, dist, found := nw.NearestWithin(q, radius); found != wantOK || (found && (id != wantID || dist != wantDist)) {
+			t.Errorf("%s: NearestWithin(%v, %d) = (%d, %d, %v), linear scan says (%d, %d, %v)",
+				s, q, radius, id, dist, found, wantID, wantDist, wantOK)
+		}
+	}
+	if s != MultiIndex {
+		return
+	}
+	for i, m := range raw {
+		if !sort.SliceIsSorted(m.IDs, func(a, b int) bool { return m.IDs[a] < m.IDs[b] }) {
+			t.Errorf("%s: match %v carries unsorted ids %v", s, m.Hash, m.IDs)
+		}
+		if i > 0 && (raw[i-1].Distance > m.Distance || (raw[i-1].Distance == m.Distance && raw[i-1].Hash >= m.Hash)) {
+			t.Errorf("%s: Radius(%v, %d) is not sorted by distance then distinct hash at %d", s, q, radius, i)
+		}
+	}
+}
+
 // corpus synthesises a hash set that looks like the pipeline's medoids:
 // mostly random hashes, plus tight near-duplicate families, plus exact
 // duplicates carrying several IDs.
@@ -99,29 +147,15 @@ func checkEquivalence(t *testing.T, hashes []phash.Hash, ids []int64, q phash.Ha
 			t.Errorf("%s: Radius(%v, %d) diverges from linear scan: got %d hashes, want %d",
 				s, q, radius, len(got), len(want))
 		}
-		checkSealedEquivalence(t, s, idx, q, radius, raw)
-	}
-}
-
-// checkSealedEquivalence seals the index (when the strategy supports it) and
-// asserts the flat form serves the exact same bytes — same matches, same
-// order — through both the allocating Radius and the scratch path. This is
-// the compilation invariant the zero-copy snapshot path rests on.
-func checkSealedEquivalence(t *testing.T, s Strategy, idx MedoidIndex, q phash.Hash, radius int, want []phash.Match) {
-	t.Helper()
-	sealer, ok := idx.(Sealer)
-	if !ok {
-		return
-	}
-	sealer.Seal()
-	if got := idx.Radius(q, radius); !matchesEqual(got, want) {
-		t.Errorf("%s: sealed Radius(%v, %d) is not bitwise identical to unsealed", s, q, radius)
-	}
-	if sq, ok := idx.(ScratchQuerier); ok {
-		var sc phash.Scratch
-		if got := sq.RadiusScratch(q, radius, &sc); !matchesEqual(got, want) {
-			t.Errorf("%s: RadiusScratch(%v, %d) is not bitwise identical to Radius", s, q, radius)
+		if sealer, ok := idx.(Sealer); ok {
+			// Sealing must serve the exact same bytes — same matches, same
+			// order: the compilation invariant the snapshot path rests on.
+			sealer.Seal()
+			if got := idx.Radius(q, radius); !matchesEqual(got, raw) {
+				t.Errorf("%s: sealed Radius(%v, %d) is not bitwise identical to unsealed", s, q, radius)
+			}
 		}
+		checkQueryForms(t, s, idx, hashes, ids, q, radius)
 	}
 }
 
@@ -154,9 +188,10 @@ func TestRadiusEquivalenceProperty(t *testing.T) {
 					q ^= 1 << uint(bit)
 				}
 			}
-			// Cover the operating point (8), the exactness boundaries of
-			// multi-index probing, and extreme radii.
-			radius := []int{0, 1, 3, 7, 8, 12, 31, 64}[rng.Intn(8)]
+			// Cover the operating point (8), both sides of the radii at
+			// which the multi-index changes its probe set (7|8, 15|16),
+			// and the extremes.
+			radius := []int{0, 1, 7, 8, 12, 15, 16, 64}[rng.Intn(8)]
 			checkEquivalence(t, hashes, ids, q, radius)
 		}
 	}
@@ -211,6 +246,34 @@ func TestNearestEquivalence(t *testing.T) {
 		if sealer, ok := idx.(Sealer); ok {
 			sealer.Seal()
 			checkNearest("sealed")
+		}
+	}
+}
+
+// TestSealedNearestZeroAlloc pins Nearest on every sealed strategy to zero
+// allocations: the candidate stack lives in the frame, not on the heap.
+func TestSealedNearestZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	hashes, ids := corpus(rng, 4000)
+	queries := make([]phash.Hash, 64)
+	for i := range queries {
+		queries[i] = phash.Hash(rng.Uint64())
+	}
+	for _, s := range Strategies() {
+		idx, err := New(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, h := range hashes {
+			idx.Insert(h, ids[i])
+		}
+		idx.(Sealer).Seal()
+		if allocs := testing.AllocsPerRun(20, func() {
+			for _, q := range queries {
+				idx.Nearest(q)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: sealed Nearest allocates %.1f per run, want 0", s, allocs)
 		}
 	}
 }
@@ -365,10 +428,12 @@ func TestShardedRadiusDeterministic(t *testing.T) {
 }
 
 // FuzzRadiusEquivalence drives the same property as the seeded test from
-// the fuzzer, now across both tree forms: any (seed, query, radius) triple
-// must see every strategy agree with the linear scan, and the sealed flat
-// form of each strategy must serve bitwise-identical Radius output, the same
-// Nearest winner, and the same Walk coverage as its pointer form.
+// the fuzzer, across both forms of every index: any (seed, query, radius)
+// triple must see every strategy agree with the linear scan, and the sealed
+// form of each strategy must serve bitwise-identical Radius output (through
+// the scratch path too), the linear scan's NearestWithin winner where it
+// offers one, the same Nearest winner, and the same Walk coverage as its
+// unsealed form.
 func FuzzRadiusEquivalence(f *testing.F) {
 	f.Add(int64(1), uint64(0x55352b0b8d8b5b53), 8)
 	f.Add(int64(2), uint64(0), 0)
@@ -409,12 +474,7 @@ func FuzzRadiusEquivalence(f *testing.F) {
 			if sealedRaw := idx.Radius(q, radius); !matchesEqual(sealedRaw, raw) {
 				t.Fatalf("%s: sealed Radius(%x, %d) not bitwise identical to pointer form", s, query, radius)
 			}
-			if sq, ok := idx.(ScratchQuerier); ok {
-				var sc phash.Scratch
-				if scratchRaw := sq.RadiusScratch(q, radius, &sc); !matchesEqual(scratchRaw, raw) {
-					t.Fatalf("%s: RadiusScratch(%x, %d) not bitwise identical to pointer form", s, query, radius)
-				}
-			}
+			checkQueryForms(t, s, idx, hashes, ids, q, radius)
 			sealedNearest, sealedOK := idx.Nearest(q)
 			if pointerOK != sealedOK || pointerNearest.Hash != sealedNearest.Hash || pointerNearest.Distance != sealedNearest.Distance {
 				t.Fatalf("%s: sealed Nearest(%x) = (%v,%v), pointer form = (%v,%v)",

@@ -155,45 +155,21 @@ func (s *ShardedBK) RadiusCtx(ctx context.Context, q phash.Hash, radius int) ([]
 	return out, nil
 }
 
-// Nearest returns the stored hash closest to q. It is NearestCtx without
-// cancellation.
-func (s *ShardedBK) Nearest(q phash.Hash) (phash.Match, bool) {
-	m, ok, _ := s.NearestCtx(context.Background(), q)
-	return m, ok
-}
-
-// NearestCtx returns the stored hash closest to q, honouring ctx
-// cancellation. Each shard reports its own nearest; ties between shards at
-// the same distance are broken by the lowest hash value, so the result is
-// deterministic.
-func (s *ShardedBK) NearestCtx(ctx context.Context, q phash.Hash) (phash.Match, bool, error) {
-	if s.size == 0 {
-		return phash.Match{}, false, ctx.Err()
-	}
-	type res struct {
-		m  phash.Match
-		ok bool
-	}
-	parts, err := parallel.MapCtx(ctx, len(s.shards), s.workers, func(i int) res {
-		m, ok := s.shards[i].Nearest(q)
-		return res{m: m, ok: ok}
-	})
-	if err != nil {
-		return phash.Match{}, false, err
-	}
-	best := phash.Match{Distance: phash.MaxDistance + 1}
-	found := false
-	for _, r := range parts {
-		if !r.ok {
-			continue
-		}
-		if !found || r.m.Distance < best.Distance ||
-			(r.m.Distance == best.Distance && r.m.Hash < best.Hash) {
-			best = r.m
-			found = true
+// Nearest returns the stored hash closest to q. Each shard reports its own
+// nearest, one after the other — no fan-out, so a sealed index allocates
+// nothing; ties between shards at the same distance are broken by the
+// lowest hash value, so the result is deterministic.
+//
+//memes:noalloc
+func (s *ShardedBK) Nearest(q phash.Hash) (best phash.Match, found bool) {
+	for _, sh := range s.shards {
+		m, ok := sh.Nearest(q)
+		if ok && (!found || m.Distance < best.Distance ||
+			(m.Distance == best.Distance && m.Hash < best.Hash)) {
+			best, found = m, true
 		}
 	}
-	return best, found, nil
+	return best, found
 }
 
 // Walk visits every distinct stored hash in shard order. Returning false

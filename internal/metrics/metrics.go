@@ -158,11 +158,14 @@ func appendValue(b []byte, v float64) []byte {
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// DefBuckets is the default latency bucket ladder (seconds), matching the
-// conventional Prometheus client defaults extended down to 500µs — the
-// serve path answers most queries in well under a millisecond.
+// DefBuckets is the default latency bucket ladder (seconds): the
+// conventional Prometheus client defaults extended down to 10µs, because
+// the serve path answers a lookup in tens of microseconds and a small
+// association in a few hundred — a ladder starting at 500µs puts all of
+// them in its first bucket and no percentile can be read from it.
 func DefBuckets() []float64 {
-	return []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+	return []float64{0.00001, 0.000025, 0.00005, 0.0001, 0.00025,
+		0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 }
 
 // Histogram is a fixed-bucket histogram safe for concurrent Observe and

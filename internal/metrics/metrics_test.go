@@ -138,12 +138,20 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 	if got, want := len(h.bounds), len(DefBuckets()); got != want {
 		t.Fatalf("default bounds: got %d, want %d", got, want)
 	}
-	h.Observe(0.0001)
+	h.Observe(0.000005) // 5µs: under the smallest bound
+	h.Observe(0.00004)  // a 40µs lookup: resolved below the old 500µs floor
 	var sb strings.Builder
 	e := NewEncoder(&sb)
 	h.Write(e, "lat", nil)
-	if !strings.Contains(sb.String(), `lat_bucket{le="0.0005"} 1`) {
-		t.Errorf("smallest default bucket did not capture the observation:\n%s", sb.String())
+	for _, want := range []string{
+		`lat_bucket{le="1e-05"} 1`,
+		`lat_bucket{le="2.5e-05"} 1`,
+		`lat_bucket{le="5e-05"} 2`,
+		`lat_bucket{le="0.0005"} 2`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("default ladder rendering lacks %s:\n%s", want, sb.String())
+		}
 	}
 }
 

@@ -25,11 +25,13 @@ type FlatBK struct {
 }
 
 // Scratch is caller-owned query state for the zero-allocation radius path:
-// the candidate stack and the result buffer both live here and are reused
-// across queries, so the steady state allocates nothing. A zero Scratch is
-// ready to use; pool it (one per goroutine) for concurrent query paths.
+// the candidate stack (FlatBK), the hit buffer (MultiIndex) and the result
+// buffer all live here and are reused across queries, so the steady state
+// allocates nothing. A zero Scratch is ready to use; pool it (one per
+// goroutine) for concurrent query paths.
 type Scratch struct {
 	stack []uint32
+	slots []int32
 	out   []Match
 }
 
@@ -166,14 +168,18 @@ func (f *FlatBK) Radius(q Hash, radius int) []Match {
 }
 
 // Nearest returns the stored hash closest to q with the same deterministic
-// tie-break as the pointer tree: lowest hash value wins among equals.
+// tie-break as the pointer tree: lowest hash value wins among equals. The
+// candidate stack starts in the frame, so a query allocates only if the
+// traversal outgrows it.
+//
+//memes:noalloc
 func (f *FlatBK) Nearest(q Hash) (Match, bool) {
 	if len(f.hashes) == 0 {
 		return Match{}, false
 	}
 	best := Match{Distance: MaxDistance + 1}
-	stack := make([]uint32, 1, 64)
-	stack[0] = 0
+	var frame [256]uint32
+	stack := frame[:1] // the root, node 0
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -171,6 +171,7 @@ func TestMultiIndexRadiusMatchesBruteForce(t *testing.T) {
 		ids[i] = int64(i)
 		mi.Insert(h, int64(i))
 	}
+	mi.Seal()
 	if mi.Len() != len(hashes) {
 		t.Fatalf("Len = %d, want %d", mi.Len(), len(hashes))
 	}
@@ -214,6 +215,7 @@ func TestMultiIndexResultsSorted(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mi.Insert(perturb(rng, base, rng.Intn(10)), int64(i))
 	}
+	mi.Seal()
 	got := mi.Radius(base, 64)
 	if !sort.SliceIsSorted(got, func(i, j int) bool {
 		if got[i].Distance != got[j].Distance {

@@ -2,19 +2,20 @@ package phash
 
 import (
 	"context"
-	"slices"
 
 	"github.com/memes-pipeline/memes/internal/parallel"
 )
 
-// probeCutover is the corpus size above which banded multi-index probing
-// beats the brute-force pairwise kernel: a probed query costs a roughly
-// fixed number of table lookups (~548 at two flips per band), while the
-// kernel pays one popcount per stored hash, so probing wins once the corpus
-// is tens of thousands of hashes. The choice only moves cost, never
+// probeCutover is the corpus size from which the band table beats the
+// pairwise kernels: a probed row popcounts about n/16 entries at eps 8
+// against n/2 for the symmetric kernel, but pays for its probe set, its
+// row sort and its share of the table build, which small inputs do not
+// amortise. Measured on a sparse corpus (2-vCPU VM, eps 8): probing wins
+// from ~500 hashes at two workers and ~1,200 at one, and is 3.4x (one
+// worker) to 7x (two) ahead at 23,629. The choice only moves cost, never
 // results — both regimes are exact. A variable only so the equivalence
-// tests can force the probing regime on small corpora.
-var probeCutover = 1 << 16
+// tests can force either regime.
+var probeCutover = 1 << 10
 
 // Neighbourhoods computes, for every input hash, the indexes of all hashes
 // within the given Hamming radius of it. It is NeighbourhoodsCtx without
@@ -31,11 +32,9 @@ func Neighbourhoods(hashes []Hash, radius, workers int) [][]int32 {
 // step as one batch primitive — and the phase-one engine of DBSCAN.
 //
 // The scan runs on up to `workers` goroutines (<= 0 means GOMAXPROCS); the
-// output is identical for every worker count. Large corpora with a probing-
-// friendly radius are served by a multi-index (one banded probe set per
-// point); everything else takes a blocked pairwise kernel — exactly the
-// work the index's exact fallback would do per query, minus the per-query
-// goroutine, dedup-map, and sort overhead. With one worker the kernel
+// output is identical for every worker count. Corpora past probeCutover
+// with a radius the bands can serve probe one shared band table, a row at a
+// time; everything else takes a pairwise kernel, which with one worker
 // exploits symmetry and computes each pair once.
 //
 // Cancellation stops rows from being scheduled and returns (nil, ctx.Err());
@@ -46,42 +45,15 @@ func NeighbourhoodsCtx(ctx context.Context, hashes []Hash, radius, workers int) 
 	if n == 0 || radius < 0 {
 		return neigh, ctx.Err()
 	}
-	w := parallel.Workers(workers)
-	if w > n {
-		w = n
-	}
+	w := min(parallel.Workers(workers), n)
+	probing := n >= probeCutover && radius < mihLinearRadius
 
-	if n >= probeCutover && radius/mihBands <= 2 {
-		m := NewMultiIndex()
-		for i, h := range hashes {
-			m.Insert(h, int64(i))
-		}
-		if err := parallel.ForCtx(ctx, n, w, func(i int) {
-			matches := m.Radius(hashes[i], radius)
-			count := 0
-			for _, match := range matches {
-				count += len(match.IDs)
-			}
-			idxs := make([]int32, 0, count)
-			for _, match := range matches {
-				for _, id := range match.IDs {
-					idxs = append(idxs, int32(id))
-				}
-			}
-			slices.Sort(idxs)
-			neigh[i] = idxs
-		}); err != nil {
-			return nil, err
-		}
-		return neigh, nil
-	}
-
-	if w <= 1 {
+	if !probing && w <= 1 {
 		// Symmetric serial kernel: each unordered pair is popcounted once
 		// and contributes to both endpoints' lists. Row i's list receives
 		// every j < i while those rows run, then i itself, then every
 		// j > i in ascending order — ascending overall, matching the
-		// parallel kernel bit for bit.
+		// chunked kernel bit for bit.
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -98,27 +70,35 @@ func NeighbourhoodsCtx(ctx context.Context, hashes []Hash, radius, workers int) 
 		return neigh, nil
 	}
 
-	// Parallel kernel: contiguous row chunks, each scanning all n columns.
-	// Per-chunk arenas are sized once and reused across the chunk's rows,
-	// with every row's list carved out as a capacity-capped sub-slice, so
-	// allocations scale with chunks rather than points.
+	// row appends row i's list to dst: a scan of all n columns, or a probe
+	// of the band table.
+	row := func(dst []int32, i int) []int32 {
+		hq := hashes[i]
+		for j, h := range hashes {
+			if Distance(hq, h) <= radius {
+				dst = append(dst, int32(j))
+			}
+		}
+		return dst
+	}
+	if probing {
+		t := newBandTable(hashes)
+		row = func(dst []int32, i int) []int32 { return t.appendWithin(dst, hashes[i], radius) }
+	}
+
+	// Contiguous row chunks. Per-chunk arenas are sized once and reused
+	// across the chunk's rows, with every row's list carved out as a
+	// capacity-capped sub-slice, so allocations scale with chunks rather
+	// than points.
 	chunk := parallel.ChunkSize(n, w)
 	numChunks := (n + chunk - 1) / chunk
 	if err := parallel.ForCtx(ctx, numChunks, w, func(c int) {
 		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		arena := make([]int32, 0, (hi-lo)*8)
 		for i := lo; i < hi; i++ {
 			at := len(arena)
-			hq := hashes[i]
-			for j, h := range hashes {
-				if Distance(hq, h) <= radius {
-					arena = append(arena, int32(j))
-				}
-			}
+			arena = row(arena, i)
 			// A mid-row growth leaves the row contiguous in the new
 			// backing array (append copies the pending prefix with it);
 			// earlier rows keep pointing into the retired arena.

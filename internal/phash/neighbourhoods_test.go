@@ -3,6 +3,7 @@ package phash
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -38,45 +39,42 @@ func clusteredCorpus(rng *rand.Rand, n int) []Hash {
 	return out
 }
 
-// TestNeighbourhoodsMatchesBrute pins all three regimes — serial symmetric
-// kernel, parallel chunked kernel, and banded probing — against the brute
-// oracle, across radii spanning the probing and linear regimes.
+// TestNeighbourhoodsMatchesBrute pins every regime — serial symmetric
+// kernel, chunked pairwise kernel, and band-table probing with its
+// crowded-row fallback — against the brute oracle, with probeCutover
+// forced to both sides of every corpus, across radii spanning the banded
+// regime (0-15) and the radii it declines (16 and up).
 func TestNeighbourhoodsMatchesBrute(t *testing.T) {
+	defer func(old int) { probeCutover = old }(probeCutover)
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{0, 1, 2, 37, 300} {
 		hashes := clusteredCorpus(rng, n)
-		for _, radius := range []int{0, 3, 8, 11, 20} {
+		if n == 300 {
+			// Sparse rows too: random hashes keep their probe sets small,
+			// so these rows stay banded where the clustered ones fall back.
+			for i := 0; i < n; i += 2 {
+				hashes[i] = Hash(rng.Uint64())
+			}
+		}
+		for _, radius := range []int{0, 2, 7, 8, 10, 15, 16, 64} {
 			want := bruteNeighbourhoods(hashes, radius)
-			check := func(got [][]int32, label string) {
-				t.Helper()
-				if len(got) != len(want) {
-					t.Fatalf("n=%d r=%d %s: %d lists, want %d", n, radius, label, len(got), len(want))
-				}
-				for i := range want {
-					if len(got[i]) != len(want[i]) {
-						t.Fatalf("n=%d r=%d %s: list %d has %d entries, want %d",
-							n, radius, label, i, len(got[i]), len(want[i]))
+			for _, regime := range []struct {
+				label   string
+				cutover int
+			}{{"pairwise", n + 1}, {"probing", 0}} {
+				probeCutover = regime.cutover
+				for _, workers := range []int{1, 2, 8} {
+					got := Neighbourhoods(hashes, radius, workers)
+					if len(got) != len(want) {
+						t.Fatalf("n=%d r=%d %s w=%d: %d lists, want %d", n, radius, regime.label, workers, len(got), len(want))
 					}
-					for k := range want[i] {
-						if got[i][k] != want[i][k] {
-							t.Fatalf("n=%d r=%d %s: list %d entry %d = %d, want %d",
-								n, radius, label, i, k, got[i][k], want[i][k])
+					for i := range want {
+						if !slices.Equal(got[i], want[i]) {
+							t.Fatalf("n=%d r=%d %s w=%d: list %d = %v, want %v",
+								n, radius, regime.label, workers, i, got[i], want[i])
 						}
 					}
 				}
-			}
-			for _, workers := range []int{0, 1, 2, 7} {
-				check(Neighbourhoods(hashes, radius, workers), "kernel")
-			}
-			// Force the probing regime (only reachable for probe-friendly
-			// radii) on the same corpus.
-			if radius/mihBands <= 2 {
-				old := probeCutover
-				probeCutover = 1
-				for _, workers := range []int{1, 4} {
-					check(Neighbourhoods(hashes, radius, workers), "probing")
-				}
-				probeCutover = old
 			}
 		}
 	}

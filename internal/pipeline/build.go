@@ -41,14 +41,15 @@ type BuildResult struct {
 	// Clusters lists every cluster across the fringe communities; Clusters[i].ID == i.
 	Clusters []ClusterInfo
 
-	medoids     index.MedoidIndex    // index over annotated-cluster medoids, read-only
-	sq          index.ScratchQuerier // medoids, when it serves the zero-alloc scratch path
-	scratch     *sync.Pool           // *phash.Scratch per querying goroutine
-	buildStats  RunStats             // cluster + annotate (or load) stage records
-	buildWall   time.Duration        // end-to-end wall time of Build (or LoadBuild)
-	progress    ProgressFunc         // forwarded to Result's associate stage
-	closer      func() error         // releases the mmap backing a v2 load; nil otherwise
-	snapVersion uint32               // MEMESNAP version loaded from; 0 for in-memory builds
+	medoids     index.MedoidIndex     // index over annotated-cluster medoids, read-only
+	nw          index.NearestWithiner // medoids, when it answers Step 6 in one fused pass
+	sq          index.ScratchQuerier  // medoids, when it serves the zero-alloc scratch path
+	scratch     *sync.Pool            // *phash.Scratch per querying goroutine
+	buildStats  RunStats              // cluster + annotate (or load) stage records
+	buildWall   time.Duration         // end-to-end wall time of Build (or LoadBuild)
+	progress    ProgressFunc          // forwarded to Result's associate stage
+	closer      func() error          // releases the mmap backing a v2 load; nil otherwise
+	snapVersion uint32                // MEMESNAP version loaded from; 0 for in-memory builds
 }
 
 // SnapshotVersion reports the MEMESNAP format version this BuildResult was
@@ -281,15 +282,17 @@ func (b *BuildResult) buildIndex() (int, error) {
 }
 
 // setIndex installs a fully populated medoid index: strategies that support
-// it are sealed into their flat, immutable form, and the zero-allocation
-// scratch query path is cached so every Match/Associate afterwards reuses
-// pooled per-goroutine scratch instead of allocating candidate stacks and
-// result buffers per query.
+// it are sealed into their flat, immutable form, and the cheapest query path
+// the index offers is cached — the fused NearestWithin, else the scratch
+// radius path, for which every Match/Associate afterwards reuses pooled
+// per-goroutine scratch instead of allocating candidate stacks and result
+// buffers per query.
 func (b *BuildResult) setIndex(idx index.MedoidIndex) {
 	if s, ok := idx.(index.Sealer); ok {
 		s.Seal()
 	}
 	b.medoids = idx
+	b.nw, _ = idx.(index.NearestWithiner)
 	b.sq, _ = idx.(index.ScratchQuerier)
 	b.scratch = &sync.Pool{New: func() any { return new(phash.Scratch) }}
 }
@@ -386,49 +389,37 @@ func (b *BuildResult) AssociateAppend(ctx context.Context, posts []dataset.Post,
 // Match looks a single perceptual hash up against the annotated clusters
 // (Step 6 for one image). The boolean is false when no annotated medoid lies
 // within the association threshold. Goroutine-safe.
+//
+//memes:noalloc
 func (b *BuildResult) Match(h phash.Hash) (Match, bool) { return b.match(h) }
 
-// MatchCtx is Match honouring ctx cancellation. Sealed indexes serve the
-// zero-allocation scratch path with a single ctx check on entry (a sealed
-// radius probe is short and uncancellable by construction); unsealed
-// strategies with internal query fan-out (sharded, multi-index) stop early
-// and return ctx.Err(). Goroutine-safe.
+// MatchCtx is Match with a ctx check on entry: an index probe is short and
+// blocks on nothing, so there is no later point worth cancelling at.
+// Goroutine-safe.
 func (b *BuildResult) MatchCtx(ctx context.Context, h phash.Hash) (Match, bool, error) {
-	if b.sq != nil {
-		if err := ctx.Err(); err != nil {
-			return Match{}, false, err
-		}
-		m, ok := b.match(h)
-		return m, ok, nil
+	if err := ctx.Err(); err != nil {
+		return Match{}, false, err
 	}
-	var matches []phash.Match
-	if cq, ok := b.medoids.(index.CtxQuerier); ok {
-		var err error
-		matches, err = cq.RadiusCtx(ctx, h, b.Config.AssociationThreshold)
-		if err != nil {
-			return Match{}, false, err
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			return Match{}, false, err
-		}
-		matches = b.medoids.Radius(h, b.Config.AssociationThreshold)
-	}
-	m, ok := pickMatch(matches)
+	m, ok := b.match(h)
 	return m, ok, nil
 }
 
-// match picks the deterministic winner among the radius matches: the
-// minimum distance, with ties broken by the lowest cluster ID across all
-// matches at that distance, so the index's traversal order never shows
-// through — a hard requirement for every strategy to serve bitwise-equal
-// results. When the index serves the scratch path, the whole probe runs
-// through pooled per-goroutine scratch and allocates nothing in steady
-// state; pickMatch only reads the scratch-backed slice, which is returned
-// to the pool before the reduced answer escapes.
+// match picks the deterministic winner among the medoids within the
+// association threshold: the minimum distance, with ties broken by the
+// lowest cluster ID across all matches at that distance, so the index's
+// traversal order never shows through — a hard requirement for every
+// strategy to serve bitwise-equal results. An index with a fused
+// NearestWithin reduces as it probes and nothing is materialised; one with
+// the scratch path runs the probe through pooled per-goroutine scratch,
+// which pickMatch only reads and which is back in the pool before the
+// reduced answer escapes. Neither allocates in steady state.
 //
 //memes:noalloc
 func (b *BuildResult) match(h phash.Hash) (Match, bool) {
+	if b.nw != nil {
+		id, d, ok := b.nw.NearestWithin(h, b.Config.AssociationThreshold)
+		return Match{ClusterID: int(id), Distance: d}, ok
+	}
 	if b.sq != nil {
 		sc := b.scratch.Get().(*phash.Scratch)
 		m, ok := pickMatch(b.sq.RadiusScratch(h, b.Config.AssociationThreshold, sc))

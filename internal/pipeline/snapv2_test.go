@@ -3,6 +3,8 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -233,28 +235,95 @@ func TestLoadBuildFile(t *testing.T) {
 	}
 }
 
-// TestV2LoadUsesSerializedTree asserts the tentpole load property: a v2
-// load under the default strategy must NOT rebuild the index — the sealed
-// flat tree comes straight from the snapshot bytes.
+// TestV2LoadUsesSerializedTree pins the load contract per strategy: under
+// bktree a v2 load must NOT rebuild the index — the sealed flat tree comes
+// straight from the snapshot bytes — and a default load serves the
+// multi-index, whose fused match path allocates nothing.
 func TestV2LoadUsesSerializedTree(t *testing.T) {
+	b, ds, site := snapTestBuild(t)
+	var buf bytes.Buffer
+	if err := b.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+
+	loaded, err := LoadBuild(bytes.NewReader(buf.Bytes()), site, nil, func(c *Config) { c.Index = index.BKTree }, nil)
+	if err != nil {
+		t.Fatalf("LoadBuild(bktree): %v", err)
+	}
+	tree, ok := loaded.medoids.(*phash.BKTree)
+	if !ok {
+		t.Fatalf("bktree load produced %T, want *phash.BKTree", loaded.medoids)
+	}
+	if !tree.Sealed() {
+		t.Fatal("v2-loaded tree is not sealed — it was rebuilt, not loaded")
+	}
+	if loaded.sq == nil {
+		t.Fatal("v2-loaded bktree engine has no scratch query path")
+	}
+
+	loaded, err = LoadBuild(bytes.NewReader(buf.Bytes()), site, nil, nil, nil)
+	if err != nil {
+		t.Fatalf("LoadBuild: %v", err)
+	}
+	if _, ok := loaded.medoids.(*phash.MultiIndex); !ok {
+		t.Fatalf("default-strategy load produced %T, want *phash.MultiIndex", loaded.medoids)
+	}
+	if loaded.nw == nil {
+		t.Fatal("default-strategy load has no fused NearestWithin path")
+	}
+	if raceEnabled {
+		return // race instrumentation allocates inside the measured path
+	}
+	h := ds.Posts[0].PHash()
+	if allocs := testing.AllocsPerRun(100, func() { loaded.Match(h) }); allocs != 0 {
+		t.Errorf("default-strategy Match allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestV2LoadRejectsMalformedTree is the snapshot-level sibling of phash's
+// TestNewFlatBKRejectsMalformed: a tree section broken structurally and
+// then re-checksummed, so only the structural validation stands between it
+// and a query, must fail the load under every strategy — what a file must
+// satisfy to load does not depend on which index will serve it.
+func TestV2LoadRejectsMalformedTree(t *testing.T) {
 	b, _, site := snapTestBuild(t)
 	var buf bytes.Buffer
 	if err := b.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := LoadBuild(bytes.NewReader(buf.Bytes()), site, nil, nil, nil)
+	snap := buf.Bytes()
+	v, err := v2Open(snap)
 	if err != nil {
-		t.Fatalf("LoadBuild: %v", err)
+		t.Fatalf("v2Open: %v", err)
 	}
-	tree, ok := loaded.medoids.(*phash.BKTree)
-	if !ok {
-		t.Fatalf("default-strategy load produced %T, want *phash.BKTree", loaded.medoids)
+	if v.counts[v2SecTreeDists] < 2 {
+		t.Fatal("corpus too small: the tree has no edge to break")
 	}
-	if !tree.Sealed() {
-		t.Fatal("v2-loaded index is not sealed — it was rebuilt, not loaded")
-	}
-	if loaded.sq == nil {
-		t.Fatal("v2-loaded engine has no scratch query path")
+	for _, tc := range []struct {
+		name string
+		off  uint64 // byte to overwrite
+		val  byte
+	}{
+		{"zero edge distance", v.offs[v2SecTreeDists] + 1, 0},
+		{"oversized edge distance", v.offs[v2SecTreeDists] + 1, phash.MaxDistance + 1},
+		{"self-loop child span", v.offs[v2SecTreeChild] + 4, 1},
+		{"empty id span", v.offs[v2SecTreeIDStart] + 4, 0},
+	} {
+		bad := bytes.Clone(snap)
+		if bad[tc.off] == tc.val {
+			t.Fatalf("%s: byte already %d, the case breaks nothing", tc.name, tc.val)
+		}
+		bad[tc.off] = tc.val
+		body := bad[:len(bad)-v2TrailerSize]
+		binary.LittleEndian.PutUint32(bad[len(body):], crc32.ChecksumIEEE(body))
+		for _, strategy := range append([]index.Strategy{""}, index.Strategies()...) {
+			_, err := LoadBuild(bytes.NewReader(bad), site, nil, func(c *Config) { c.Index = strategy }, nil)
+			if err == nil {
+				t.Errorf("%s: loaded under strategy %q", tc.name, strategy)
+			} else if !strings.Contains(err.Error(), "flat tree") {
+				t.Errorf("%s under %q: rejected by %q, want the flat-tree validator", tc.name, strategy, err)
+			}
+		}
 	}
 }
 
@@ -285,14 +354,15 @@ func TestAssociateAppendMatchesAssociate(t *testing.T) {
 	}
 }
 
-// TestSteadyStateZeroAlloc is the tentpole's measurable claim, as a test so
-// it fails fast anywhere, not just in the CI bench gate: steady-state
-// Match and AssociateAppend on a sealed engine allocate nothing.
+// TestSteadyStateZeroAlloc is the serve path's measurable claim, as a test
+// so it fails fast anywhere, not just in the CI bench gate: steady-state
+// Match and AssociateAppend on a sealed engine allocate nothing, under
+// every index strategy.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates inside the measured paths")
 	}
-	b, ds, _ := snapTestBuild(t)
+	built, ds, _ := snapTestBuild(t)
 	ctx := context.Background()
 
 	hashes := make([]phash.Hash, 0, 64)
@@ -304,26 +374,33 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		for _, h := range hashes {
-			b.Match(h)
+	for _, strategy := range index.Strategies() {
+		b := *built
+		b.Config.Index = strategy
+		if _, err := b.buildIndex(); err != nil {
+			t.Fatalf("%s: buildIndex: %v", strategy, err)
 		}
-	}); allocs != 0 {
-		t.Errorf("steady-state Match allocates %.1f per run, want 0", allocs)
-	}
+		if allocs := testing.AllocsPerRun(100, func() {
+			for _, h := range hashes {
+				b.Match(h)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: steady-state Match allocates %.1f per run, want 0", strategy, allocs)
+		}
 
-	out, err := b.AssociateAppend(ctx, ds.Posts, nil)
-	if err != nil {
-		t.Fatalf("AssociateAppend: %v", err)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		var aerr error
-		out, aerr = b.AssociateAppend(ctx, ds.Posts, out[:0])
-		if aerr != nil {
-			t.Fatal(aerr)
+		out, err := b.AssociateAppend(ctx, ds.Posts, nil)
+		if err != nil {
+			t.Fatalf("%s: AssociateAppend: %v", strategy, err)
 		}
-	}); allocs != 0 {
-		t.Errorf("steady-state AssociateAppend allocates %.1f per run, want 0", allocs)
+		if allocs := testing.AllocsPerRun(50, func() {
+			var aerr error
+			out, aerr = b.AssociateAppend(ctx, ds.Posts, out[:0])
+			if aerr != nil {
+				t.Fatal(aerr)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: steady-state AssociateAppend allocates %.1f per run, want 0", strategy, allocs)
+		}
 	}
 }
 

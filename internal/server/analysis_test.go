@@ -531,6 +531,10 @@ func TestMetricsScrapeAgreesWithStatsz(t *testing.T) {
 	if inf != float64(doc.Requests.Match) {
 		t.Errorf("match histogram count %v, request counter %v", inf, doc.Requests.Match)
 	}
+	// The ladder resolves a lookup: its first bucket is 10µs.
+	if _, ok := samples[`memes_request_duration_seconds_bucket{endpoint="match",le="1e-05"}`]; !ok {
+		t.Error("match histogram has no le=1e-05 bucket")
+	}
 }
 
 // TestMetricsDisabled verifies Config.DisableMetrics unregisters the

@@ -94,10 +94,12 @@ type IndexStrategy = index.Strategy
 
 // The built-in index strategies.
 const (
-	// IndexBKTree is a single Burkhard-Keller metric tree (the default).
+	// IndexBKTree is a single Burkhard-Keller metric tree. At θ = 8 it
+	// visits most of its nodes, so it is no longer the default.
 	IndexBKTree = index.BKTree
-	// IndexMultiIndex is multi-index hashing: banded exact-match tables
-	// with band probing, the classic fast Hamming-space lookup.
+	// IndexMultiIndex is multi-index hashing (the default): one flat table
+	// of eight 8-bit bands, probed with the substring bound — at θ = 8 a
+	// lookup popcounts about a sixteenth of the medoids.
 	IndexMultiIndex = index.MultiIndex
 	// IndexSharded partitions medoids across per-shard BK-trees and fans
 	// each query out across the shards in parallel.
