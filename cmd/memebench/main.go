@@ -4,8 +4,10 @@
 // (BenchmarkEngineAssociate), the zero-alloc steady-state serve paths
 // (EngineAssociateSteady, EngineMatchSteady), Step 1 hashing
 // (BenchmarkPhashExtraction), the streaming ingest fast path (Ingest,
-// posts/sec through Ingestor.Ingest), and snapshot load-to-first-query per
-// format version (EngineSnapshotLoad) — and writes one BENCH_<label>.json
+// posts/sec through Ingestor.Ingest), snapshot load-to-first-query per
+// format version (EngineSnapshotLoad), and Step 7 (ReportSections: the
+// first report of the process, then the reports after it) — and writes one
+// BENCH_<label>.json
 // document with ns/op, allocs/op, and the custom throughput metrics, using
 // the same machine-readable conventions as the CLIs' -format json stats.
 // The emitted file is one point of the repo's performance trajectory: CI
@@ -23,6 +25,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,6 +37,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/memes-pipeline/memes"
 	"github.com/memes-pipeline/memes/internal/benchcorpus"
@@ -50,7 +54,7 @@ func main() {
 	benchtime := flag.String("benchtime", "", "benchmark time target, as accepted by -test.benchtime (e.g. 1x, 2s)")
 	workers := flag.Int("workers", 0, "full worker-pool size for the parallel variants (0 = GOMAXPROCS)")
 	baseline := flag.String("baseline", "", "committed BENCH_<label>.json to gate this run against; exits non-zero on regression")
-	regress := flag.Float64("regress", 0.30, "tolerated fractional images/sec drop vs -baseline before the gate fails")
+	regress := flag.Float64("regress", 0.30, "tolerated fractional images/sec drop (and ReportSections ns/op rise) vs -baseline before the gate fails")
 	testing.Init()
 	flag.Parse()
 	if err := validateLabel(*label); err != nil {
@@ -91,6 +95,22 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr)
 	}
+
+	// The first report of a process also computes the sections that are the
+	// same for every corpus and are kept from then on: one sample, taken
+	// before anything else can have rendered them.
+	reports, err := st.newReportBench()
+	if err != nil {
+		log.Fatalf("preparing ReportSections: %v", err)
+	}
+	coldStart := time.Now()
+	if err := reports.render(); err != nil {
+		log.Fatalf("benchmark ReportSections/cold failed: %v", err)
+	}
+	cold := testing.BenchmarkResult{N: 1, T: time.Since(coldStart)}
+	doc.Add("ReportSections/cold", cold)
+	fmt.Fprintf(os.Stderr, "%-40s %12d ns/op (one sample)\n", "ReportSections/cold", cold.NsPerOp())
+	run("ReportSections/warm", reports.bench)
 
 	workerCounts := []int{1}
 	if full > 1 {
@@ -174,6 +194,9 @@ var gatedPrefixes = []string{"PipelineRun/", "EngineAssociate/"}
 // the zero-alloc steady-state serve paths and Step 1 hashing.
 var allocGatedPrefixes = []string{"EngineAssociateSteady/", "EngineMatchSteady/", "PhashExtraction"}
 
+// nsGatedPrefixes names the families whose ns/op is a ceiling: Step 7.
+var nsGatedPrefixes = []string{"ReportSections/"}
+
 // steadyStrategies lists the index strategies whose steady-state serve path
 // is pinned to zero allocations: every built-in.
 func steadyStrategies() []memes.IndexStrategy {
@@ -215,6 +238,65 @@ func newBenchState() (*benchState, error) {
 		return nil, fmt.Errorf("building site: %w", err)
 	}
 	return &benchState{ds: ds, site: site}, nil
+}
+
+// reportBench renders the full report the way memeload's build_report does:
+// every report on an engine freshly loaded from snapshot bytes, because an
+// engine caches its Result and a report must not be timed against that.
+type reportBench struct {
+	st   *benchState
+	snap []byte
+}
+
+func (st *benchState) newReportBench() (*reportBench, error) {
+	eng, err := memes.NewEngine(context.Background(), st.ds, st.site)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := eng.Save(&buf); err != nil {
+		return nil, err
+	}
+	return &reportBench{st: st, snap: buf.Bytes()}, nil
+}
+
+// load returns an engine that has not produced its Result yet.
+func (r *reportBench) load() (*memes.Engine, error) {
+	return memes.LoadEngine(bytes.NewReader(r.snap), r.st.site, memes.WithDataset(r.st.ds))
+}
+
+// render is one Result → NewReport → Sections.
+func (r *reportBench) render() error {
+	eng, err := r.load()
+	if err != nil {
+		return err
+	}
+	return renderReport(eng)
+}
+
+func renderReport(eng *memes.Engine) error {
+	rep, err := memes.NewReport(eng.Result())
+	if err != nil {
+		return err
+	}
+	_, err = rep.Sections()
+	return err
+}
+
+// bench times the reports after the process's first, the load excluded.
+func (r *reportBench) bench(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, err := r.load()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := renderReport(eng); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func (st *benchState) benchPipelineRun(b *testing.B, workers int) {

@@ -472,61 +472,38 @@ type FalsePositiveRow struct {
 // images and measure, per cluster, the fraction of images whose planted
 // ground-truth meme differs from the cluster's dominant meme.
 func ClusterFalsePositives(ds *dataset.Dataset, epsValues []int) ([]FalsePositiveRow, error) {
-	if len(epsValues) == 0 {
-		return nil, errors.New("analysis: no eps values supplied")
+	t, err := distinctPolImages(ds)
+	if err != nil {
+		return nil, err
 	}
-	// Distinct /pol/ hashes with counts and ground-truth votes.
-	type hinfo struct {
-		count int
-		votes map[int]int
+	results, err := t.sweep(epsValues)
+	if err != nil {
+		return nil, err
 	}
-	var hashes []phash.Hash
-	var infos []*hinfo
-	index := map[phash.Hash]int{}
-	for _, p := range ds.Posts {
-		if !p.HasImage || p.Community != dataset.Pol {
-			continue
-		}
-		h := p.PHash()
-		at, ok := index[h]
-		if !ok {
-			at = len(hashes)
-			index[h] = at
-			hashes = append(hashes, h)
-			infos = append(infos, &hinfo{votes: map[int]int{}})
-		}
-		infos[at].count++
-		infos[at].votes[p.TruthMeme]++
-	}
-	if len(hashes) == 0 {
-		return nil, errors.New("analysis: no /pol/ images")
-	}
-	counts := make([]int, len(hashes))
-	for i, inf := range infos {
-		counts[i] = inf.count
-	}
+	return t.falsePositiveRows(epsValues, results)
+}
+
+// falsePositiveRows renders one Figure 17 row per clustering of the table,
+// in ascending eps order.
+func (t *polImages) falsePositiveRows(epsValues []int, results []cluster.Result) ([]FalsePositiveRow, error) {
 	var out []FalsePositiveRow
-	for _, eps := range epsValues {
-		res, err := cluster.DBSCAN(hashes, counts, cluster.DBSCANConfig{Eps: eps, MinPts: 5})
-		if err != nil {
-			return nil, err
+	for i, res := range results {
+		eps := epsValues[i]
+		// Every image post votes its ground-truth meme into its cluster.
+		votes := make([]map[int]int, res.NumClusters)
+		for c := range votes {
+			votes[c] = map[int]int{}
 		}
-		members := res.Members()
+		for p, at := range t.postAt {
+			if lbl := res.Labels[at]; lbl != cluster.Noise {
+				votes[lbl][t.truth[p]]++
+			}
+		}
 		var fractions []float64
-		for _, m := range members {
-			if len(m) == 0 {
-				continue
-			}
-			votes := map[int]int{}
-			total := 0
-			for _, i := range m {
-				for meme, v := range infos[i].votes {
-					votes[meme] += v
-					total += v
-				}
-			}
-			best := 0
-			for _, v := range votes {
+		for _, byMeme := range votes {
+			best, total := 0, 0
+			for _, v := range byMeme {
+				total += v
 				if v > best {
 					best = v
 				}

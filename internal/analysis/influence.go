@@ -2,10 +2,13 @@ package analysis
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"github.com/memes-pipeline/memes/internal/annotate"
 	"github.com/memes-pipeline/memes/internal/dataset"
@@ -79,21 +82,71 @@ func eventsByMeme(res *pipeline.Result, group MemeGroup) map[string][]hawkes.Eve
 	return out
 }
 
-// fitGroup fits one Hawkes model per meme (as the paper does for each of its
-// 12.6K clusters), attributes every event to a root-cause community, and
-// aggregates the per-meme attributions into the group's influence matrices
-// and the per-event attribution samples used for KS testing.
-func fitGroup(res *pipeline.Result, group MemeGroup, cfg InfluenceConfig) (*InfluenceResult, *groupAttribution, error) {
-	return fitGroupCtx(context.Background(), res, group, cfg)
+// fitCache memoises per-meme attributions for one pipeline result and one
+// InfluenceConfig (a Report's never change), which leaves the event series
+// to tell two fits apart, so that is the key. Group membership is decided
+// per cluster while a meme is a KYM entry, so one entry's series can differ
+// between groups; where a group holds all of an entry's clusters the series
+// is the all-memes one and its fit is reused.
+type fitCache struct {
+	mu     sync.Mutex
+	atts   map[string]*hawkes.Attribution
+	fitted int // series fitted and stored
+	reused int // series answered from atts
 }
 
-// fitGroupCtx is fitGroup with cooperative cancellation and parallel
-// per-meme fits. The fits run concurrently (each is a self-contained EM
-// loop), but the aggregation folds them serially in sorted meme-key order —
-// float accumulation is not associative, so a deterministic fold order is
-// what makes the matrices bitwise-identical across worker counts and
-// between the offline and served paths.
-func fitGroupCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg InfluenceConfig) (*InfluenceResult, *groupAttribution, error) {
+func newFitCache() *fitCache { return &fitCache{atts: map[string]*hawkes.Attribution{}} }
+
+// seriesKey spells an event series out as a map key.
+func seriesKey(events []hawkes.Event) string {
+	b := make([]byte, 0, 9*len(events))
+	for _, e := range events {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Time))
+		b = append(b, byte(e.Process))
+	}
+	return string(b)
+}
+
+// attribution fits one Hawkes model to the series and attributes every event
+// to a root-cause community, or returns what an earlier call stored for the
+// same series. The result is shared: callers must not modify it.
+func (c *fitCache) attribution(ctx context.Context, events []hawkes.Event, cfg hawkes.FitConfig) (*hawkes.Attribution, error) {
+	key := seriesKey(events)
+	c.mu.Lock()
+	att, ok := c.atts[key]
+	if ok {
+		c.reused++
+	}
+	c.mu.Unlock()
+	if ok {
+		return att, nil
+	}
+	fit, err := hawkes.FitCtx(ctx, events, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("fitting: %w", err)
+	}
+	if att, err = hawkes.Attribute(fit); err != nil {
+		return nil, fmt.Errorf("attributing: %w", err)
+	}
+	c.mu.Lock()
+	c.atts[key] = att
+	c.fitted++
+	c.mu.Unlock()
+	return att, nil
+}
+
+// fitGroupCtx fits one Hawkes model per meme (as the paper does for each of
+// its 12.6K clusters), attributes every event to a root-cause community, and
+// aggregates the per-meme attributions into the group's influence matrices
+// and the per-event attribution samples used for KS testing.
+//
+// The fits run concurrently (each is a self-contained EM loop, or a lookup
+// in cache), but the aggregation folds them serially in sorted meme-key
+// order — float accumulation is not associative, so a deterministic fold
+// order is what makes the matrices bitwise-identical across worker counts
+// and between the offline and served paths. Fits that finished before ctx
+// was cancelled stay in cache for a later call.
+func fitGroupCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg InfluenceConfig, cache *fitCache) (*InfluenceResult, *groupAttribution, error) {
 	if cfg.Omega <= 0 || cfg.MaxIter <= 0 {
 		return nil, nil, errors.New("analysis: invalid influence configuration")
 	}
@@ -119,13 +172,9 @@ func fitGroupCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg
 		fitCfg := hawkes.DefaultFitConfig(k, horizon)
 		fitCfg.Omega = cfg.Omega
 		fitCfg.MaxIter = cfg.MaxIter
-		fit, err := hawkes.FitCtx(ctx, events, fitCfg)
+		att, err := cache.attribution(ctx, events, fitCfg)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: fitting %v events: %w", group, err)
-		}
-		att, err := hawkes.Attribute(fit)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: attributing %v events: %w", group, err)
+			return nil, fmt.Errorf("analysis: %v events: %w", group, err)
 		}
 		return att, nil
 	})
@@ -167,14 +216,15 @@ func fitGroupCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg
 	for i, c := range dataset.Communities() {
 		names[i] = c.String()
 	}
+	norm := agg.normalizedMatrix()
 	summary := &InfluenceResult{
 		Group:         group,
 		Communities:   names,
 		Events:        agg.eventCounts(),
 		Raw:           agg.rawMatrix(),
-		Normalized:    agg.normalizedMatrix(),
-		TotalExternal: agg.externalInfluence(),
-		Total:         agg.totalInfluence(),
+		Normalized:    norm,
+		TotalExternal: externalInfluence(norm),
+		Total:         totalInfluence(norm),
 	}
 	return summary, agg, nil
 }
@@ -247,25 +297,27 @@ func (g *groupAttribution) normalizedMatrix() [][]float64 {
 	return out
 }
 
-func (g *groupAttribution) externalInfluence() []float64 {
-	norm := g.normalizedMatrix()
-	out := make([]float64, g.k)
-	for src := 0; src < g.k; src++ {
-		for dst := 0; dst < g.k; dst++ {
+// externalInfluence sums each source's normalized influence over every
+// destination but itself.
+func externalInfluence(norm [][]float64) []float64 {
+	out := make([]float64, len(norm))
+	for src, row := range norm {
+		for dst, v := range row {
 			if dst != src {
-				out[src] += norm[src][dst]
+				out[src] += v
 			}
 		}
 	}
 	return out
 }
 
-func (g *groupAttribution) totalInfluence() []float64 {
-	norm := g.normalizedMatrix()
-	out := make([]float64, g.k)
-	for src := 0; src < g.k; src++ {
-		for dst := 0; dst < g.k; dst++ {
-			out[src] += norm[src][dst]
+// totalInfluence sums each source's normalized influence over every
+// destination, itself included.
+func totalInfluence(norm [][]float64) []float64 {
+	out := make([]float64, len(norm))
+	for src, row := range norm {
+		for _, v := range row {
+			out[src] += v
 		}
 	}
 	return out
@@ -275,8 +327,7 @@ func (g *groupAttribution) totalInfluence() []float64 {
 // given meme group and aggregates them into the raw and normalized influence
 // matrices (Figures 11 and 12).
 func EstimateInfluence(res *pipeline.Result, group MemeGroup, cfg InfluenceConfig) (*InfluenceResult, error) {
-	summary, _, err := fitGroup(res, group, cfg)
-	return summary, err
+	return EstimateInfluenceCtx(context.Background(), res, group, cfg)
 }
 
 // EstimateInfluenceCtx is EstimateInfluence with cooperative cancellation:
@@ -285,7 +336,7 @@ func EstimateInfluence(res *pipeline.Result, group MemeGroup, cfg InfluenceConfi
 // result, group, and configuration it returns bitwise-identical matrices to
 // EstimateInfluence, for any worker count — the serving layer's contract.
 func EstimateInfluenceCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg InfluenceConfig) (*InfluenceResult, error) {
-	summary, _, err := fitGroupCtx(ctx, res, group, cfg)
+	summary, _, err := fitGroupCtx(ctx, res, group, cfg, newFitCache())
 	return summary, err
 }
 
@@ -311,11 +362,15 @@ func CompareGroups(res *pipeline.Result, group, complement MemeGroup, cfg Influe
 // CompareGroupsCtx is CompareGroups with cooperative cancellation threaded
 // through both group fits.
 func CompareGroupsCtx(ctx context.Context, res *pipeline.Result, group, complement MemeGroup, cfg InfluenceConfig) (*GroupComparison, error) {
-	g, gAtt, err := fitGroupCtx(ctx, res, group, cfg)
+	return compareGroups(ctx, res, group, complement, cfg, newFitCache())
+}
+
+func compareGroups(ctx context.Context, res *pipeline.Result, group, complement MemeGroup, cfg InfluenceConfig, cache *fitCache) (*GroupComparison, error) {
+	g, gAtt, err := fitGroupCtx(ctx, res, group, cfg, cache)
 	if err != nil {
 		return nil, err
 	}
-	c, cAtt, err := fitGroupCtx(ctx, res, complement, cfg)
+	c, cAtt, err := fitGroupCtx(ctx, res, complement, cfg, cache)
 	if err != nil {
 		return nil, err
 	}

@@ -5,8 +5,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 
+	"github.com/memes-pipeline/memes/internal/cluster"
+	"github.com/memes-pipeline/memes/internal/dataset"
 	"github.com/memes-pipeline/memes/internal/distance"
 	"github.com/memes-pipeline/memes/internal/pipeline"
 	"github.com/memes-pipeline/memes/internal/screenshot"
@@ -15,10 +19,16 @@ import (
 // Report regenerates every table and figure of the paper from a pipeline
 // result and renders them as text. It is the engine behind cmd/memereport
 // and the benchmark harness.
+//
+// A Report computes each input once and keeps it while it lives: the
+// per-meme Hawkes fits under the three influence sections, the /pol/ eps
+// sweep under Table 8 and Figure 17. It is safe for concurrent use.
 type Report struct {
 	res    *pipeline.Result
 	metric *distance.Metric
 	infCfg InfluenceConfig
+	fits   *fitCache
+	sweep  func() (*polSweep, error)
 }
 
 // NewReport builds a report generator over a pipeline result.
@@ -27,7 +37,39 @@ func NewReport(res *pipeline.Result) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Report{res: res, metric: metric, infCfg: DefaultInfluenceConfig()}, nil
+	r := &Report{res: res, metric: metric, infCfg: DefaultInfluenceConfig(), fits: newFitCache()}
+	r.sweep = sync.OnceValues(func() (*polSweep, error) { return newPolSweep(res.Dataset) })
+	return r, nil
+}
+
+// table8Eps and figure17Eps are the DBSCAN thresholds of the two sections
+// that sweep eps over /pol/'s images. Figure 17's are the tail of Table 8's,
+// so one sweep serves both.
+var (
+	table8Eps   = []int{2, 4, 6, 8, 10}
+	figure17Eps = table8Eps[2:]
+)
+
+// polSweep is the /pol/ image table clustered at every eps of table8Eps.
+type polSweep struct {
+	images  *polImages
+	results []cluster.Result
+}
+
+// sweepsRun counts newPolSweep calls, for the computed-once test.
+var sweepsRun atomic.Int64
+
+func newPolSweep(ds *dataset.Dataset) (*polSweep, error) {
+	sweepsRun.Add(1)
+	images, err := distinctPolImages(ds)
+	if err != nil {
+		return nil, err
+	}
+	results, err := images.sweep(table8Eps)
+	if err != nil {
+		return nil, err
+	}
+	return &polSweep{images: images, results: results}, nil
 }
 
 // Result exposes the underlying pipeline result.
@@ -228,10 +270,11 @@ func (r *Report) RenderTable7() (string, error) {
 
 // RenderTable8 renders the clustering sweep.
 func (r *Report) RenderTable8() (string, error) {
-	rows, err := ClusterSweep(r.res.Dataset, []int{2, 4, 6, 8, 10})
+	sw, err := r.sweep()
 	if err != nil {
 		return "", err
 	}
+	rows := sw.images.sweepRows(table8Eps, sw.results)
 	return table(func(w *tabwriter.Writer) {
 		fmt.Fprintln(w, "Distance\t#Clusters\t%Noise")
 		for _, row := range rows {
@@ -437,14 +480,34 @@ func renderFloatMap(m map[string]float64) string {
 	return strings.Join(parts, " ")
 }
 
+// figure10Body and figure19Body are the two costly sections that take
+// nothing from the corpus, the engine or the request (a toy fit and a
+// classifier trained on synthetic images, both from fixed seeds): the first
+// Report of the process to render one computes it and the text is kept.
+// experimentsRun counts the experiments, for the computed-once test.
+var (
+	figure10Body = sync.OnceValues(func() (string, error) {
+		toy, err := RunAttributionToy(7)
+		if err != nil {
+			return "", err
+		}
+		return renderMatrix([]string{"A", "B", "C"}, toy.Raw, nil), nil
+	})
+	figure19Body = sync.OnceValues(func() (string, error) {
+		experimentsRun.Add(1)
+		res, err := screenshot.RunExperiment(screenshot.DefaultCorpusConfig(), screenshot.DefaultTrainConfig())
+		if err != nil {
+			return "", err
+		}
+		ev := res.Evaluation
+		return fmt.Sprintf("AUC=%.3f accuracy=%.3f precision=%.3f recall=%.3f F1=%.3f (train=%d test=%d)\n",
+			ev.AUC, ev.Accuracy, ev.Precision, ev.Recall, ev.F1, res.TrainSize, res.TestSize), nil
+	})
+	experimentsRun atomic.Int64
+)
+
 // RenderFigure10 renders the attribution toy example.
-func (r *Report) RenderFigure10() (string, error) {
-	toy, err := RunAttributionToy(7)
-	if err != nil {
-		return "", err
-	}
-	return renderMatrix([]string{"A", "B", "C"}, toy.Raw, nil), nil
-}
+func (r *Report) RenderFigure10() (string, error) { return figure10Body() }
 
 // RenderInfluenceAll renders Figures 11 and 12.
 func (r *Report) RenderInfluenceAll() (string, error) {
@@ -452,7 +515,7 @@ func (r *Report) RenderInfluenceAll() (string, error) {
 }
 
 func (r *Report) renderInfluenceAllCtx(ctx context.Context) (string, error) {
-	inf, err := EstimateInfluenceCtx(ctx, r.res, AllMemes, r.infCfg)
+	inf, _, err := fitGroupCtx(ctx, r.res, AllMemes, r.infCfg, r.fits)
 	if err != nil {
 		return "", err
 	}
@@ -483,7 +546,7 @@ func (r *Report) renderInfluencePoliticalCtx(ctx context.Context) (string, error
 }
 
 func (r *Report) renderComparison(ctx context.Context, group, complement MemeGroup) (string, error) {
-	cmp, err := CompareGroupsCtx(ctx, r.res, group, complement, r.infCfg)
+	cmp, err := compareGroups(ctx, r.res, group, complement, r.infCfg, r.fits)
 	if err != nil {
 		return "", err
 	}
@@ -539,7 +602,11 @@ func renderVector(v []float64) string {
 
 // RenderFigure17 renders the false-positive sweep.
 func (r *Report) RenderFigure17() (string, error) {
-	rows, err := ClusterFalsePositives(r.res.Dataset, []int{6, 8, 10})
+	sw, err := r.sweep()
+	if err != nil {
+		return "", err
+	}
+	rows, err := sw.images.falsePositiveRows(figure17Eps, sw.results[len(table8Eps)-len(figure17Eps):])
 	if err != nil {
 		return "", err
 	}
@@ -551,17 +618,9 @@ func (r *Report) RenderFigure17() (string, error) {
 	}), nil
 }
 
-// RenderFigure19 renders the screenshot classifier evaluation. The corpus is
-// a scaled-down version of the paper's so the report renders in seconds.
-func (r *Report) RenderFigure19() (string, error) {
-	res, err := screenshot.RunExperiment(screenshot.DefaultCorpusConfig(), screenshot.DefaultTrainConfig())
-	if err != nil {
-		return "", err
-	}
-	ev := res.Evaluation
-	return fmt.Sprintf("AUC=%.3f accuracy=%.3f precision=%.3f recall=%.3f F1=%.3f (train=%d test=%d)\n",
-		ev.AUC, ev.Accuracy, ev.Precision, ev.Recall, ev.F1, res.TrainSize, res.TestSize), nil
-}
+// RenderFigure19 renders the screenshot classifier evaluation, on a corpus
+// that is a 1/40 scale model of the paper's.
+func (r *Report) RenderFigure19() (string, error) { return figure19Body() }
 
 // RenderAppendixB renders the annotation-quality evaluation.
 func (r *Report) RenderAppendixB() (string, error) {

@@ -6,6 +6,7 @@
 package analysis
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -297,62 +298,89 @@ type SweepRow struct {
 	NoisePercent float64
 }
 
-// ClusterSweep computes Table 8: the number of clusters and the noise
-// percentage of /pol/'s images for a range of DBSCAN thresholds.
-func ClusterSweep(ds *dataset.Dataset, epsValues []int) ([]SweepRow, error) {
-	if len(epsValues) == 0 {
-		return nil, errors.New("analysis: no eps values supplied")
-	}
-	// Distinct /pol/ hashes with occurrence counts.
-	var hashes []dsHash
-	index := map[uint64]int{}
+// polImages is the table both eps sweeps (Table 8, Figure 17) cluster: the
+// distinct /pol/ image hashes in order of first appearance with how often
+// each occurs, and, for every /pol/ image post, which of them it carries and
+// its planted ground-truth meme.
+type polImages struct {
+	hashes []phash.Hash
+	counts []int
+	postAt []int32 // per image post: index into hashes
+	truth  []int   // per image post: TruthMeme
+}
+
+func distinctPolImages(ds *dataset.Dataset) (*polImages, error) {
+	t := &polImages{}
+	index := map[phash.Hash]int32{}
 	for _, p := range ds.Posts {
 		if !p.HasImage || p.Community != dataset.Pol {
 			continue
 		}
-		if at, ok := index[p.Hash]; ok {
-			hashes[at].count++
-		} else {
-			index[p.Hash] = len(hashes)
-			hashes = append(hashes, dsHash{hash: p.Hash, count: 1})
+		h := p.PHash()
+		at, ok := index[h]
+		if !ok {
+			at = int32(len(t.hashes))
+			index[h] = at
+			t.hashes = append(t.hashes, h)
+			t.counts = append(t.counts, 0)
 		}
+		t.counts[at]++
+		t.postAt = append(t.postAt, at)
+		t.truth = append(t.truth, p.TruthMeme)
 	}
-	if len(hashes) == 0 {
+	if len(t.hashes) == 0 {
 		return nil, errors.New("analysis: no /pol/ images to sweep")
 	}
-	hs := make([]phash.Hash, len(hashes))
-	counts := make([]int, len(hashes))
-	for i, h := range hashes {
-		hs[i] = phash.Hash(h.hash)
-		counts[i] = h.count
+	return t, nil
+}
+
+// sweepMinPts is the DBSCAN density threshold both sweeps hold fixed while
+// eps varies (the paper's MinPts, Appendix A).
+const sweepMinPts = 5
+
+// sweep clusters the table at every eps (at least one) off one neighbourhood
+// scan.
+func (t *polImages) sweep(epsValues []int) ([]cluster.Result, error) {
+	results, err := cluster.SweepCtx(context.Background(), t.hashes, t.counts, epsValues, sweepMinPts, 0)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: eps sweep: %w", err)
 	}
-	var out []SweepRow
-	for _, eps := range epsValues {
-		cfg := cluster.DBSCANConfig{Eps: eps, MinPts: 5}
-		res, err := cluster.DBSCAN(hs, counts, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: sweep at eps=%d: %w", eps, err)
-		}
+	return results, nil
+}
+
+// ClusterSweep computes Table 8: the number of clusters and the noise
+// percentage of /pol/'s images for a range of DBSCAN thresholds.
+func ClusterSweep(ds *dataset.Dataset, epsValues []int) ([]SweepRow, error) {
+	t, err := distinctPolImages(ds)
+	if err != nil {
+		return nil, err
+	}
+	results, err := t.sweep(epsValues)
+	if err != nil {
+		return nil, err
+	}
+	return t.sweepRows(epsValues, results), nil
+}
+
+// sweepRows renders one Table 8 row per clustering of the table.
+func (t *polImages) sweepRows(epsValues []int, results []cluster.Result) []SweepRow {
+	out := make([]SweepRow, len(results))
+	for at, res := range results {
 		noiseImages := 0
 		totalImages := 0
 		for i, lbl := range res.Labels {
-			totalImages += counts[i]
+			totalImages += t.counts[i]
 			if lbl == cluster.Noise {
-				noiseImages += counts[i]
+				noiseImages += t.counts[i]
 			}
 		}
-		out = append(out, SweepRow{
-			Eps:          eps,
+		out[at] = SweepRow{
+			Eps:          epsValues[at],
 			Clusters:     res.NumClusters,
 			NoisePercent: float64(noiseImages) / float64(totalImages) * 100,
-		})
+		}
 	}
-	return out, nil
-}
-
-type dsHash struct {
-	hash  uint64
-	count int
+	return out
 }
 
 // Table9Row is one row of the screenshot-classifier training set composition

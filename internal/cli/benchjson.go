@@ -118,6 +118,34 @@ func CompareBench(baseline, fresh *BenchDoc, prefixes []string, metric string, t
 // never allocate again. A gated benchmark missing from the fresh run is a
 // violation (silently dropping the benchmark must not pass the gate).
 func CompareBenchAllocs(baseline, fresh *BenchDoc, prefixes []string, tolerance float64) []string {
+	return compareCeiling(baseline, fresh, prefixes, func(base, got BenchJSON) string {
+		ceiling := int64(float64(base.AllocsPerOp) * (1 + tolerance))
+		if got.AllocsPerOp <= ceiling {
+			return ""
+		}
+		return fmt.Sprintf("%s: allocs_per_op grew %d -> %d (ceiling %d at tolerance %.0f%%)",
+			base.Name, base.AllocsPerOp, got.AllocsPerOp, ceiling, 100*tolerance)
+	})
+}
+
+// CompareBenchNs gates wall time as a ceiling the same way: the fresh run
+// must report at most baseline × (1+tolerance) ns/op for every gated
+// benchmark, and must not drop one.
+func CompareBenchNs(baseline, fresh *BenchDoc, prefixes []string, tolerance float64) []string {
+	return compareCeiling(baseline, fresh, prefixes, func(base, got BenchJSON) string {
+		ceiling := base.NsPerOp * (1 + tolerance)
+		if got.NsPerOp <= ceiling {
+			return ""
+		}
+		return fmt.Sprintf("%s: ns_per_op rose %.0f -> %.0f (%.1f%% of baseline, ceiling %.0f at tolerance %.0f%%)",
+			base.Name, base.NsPerOp, got.NsPerOp, 100*got.NsPerOp/base.NsPerOp, ceiling, 100*tolerance)
+	})
+}
+
+// compareCeiling walks the gated baseline benchmarks and collects one line
+// per benchmark the fresh run lacks or for which exceeds returns a
+// violation ("" means within the ceiling).
+func compareCeiling(baseline, fresh *BenchDoc, prefixes []string, exceeds func(base, got BenchJSON) string) []string {
 	var violations []string
 	for _, base := range baseline.Benchmarks {
 		if !gatedBy(base.Name, prefixes) {
@@ -129,11 +157,8 @@ func CompareBenchAllocs(baseline, fresh *BenchDoc, prefixes []string, tolerance 
 				fmt.Sprintf("%s: present in baseline %q but missing from fresh run %q", base.Name, baseline.Label, fresh.Label))
 			continue
 		}
-		ceiling := int64(float64(base.AllocsPerOp) * (1 + tolerance))
-		if got.AllocsPerOp > ceiling {
-			violations = append(violations,
-				fmt.Sprintf("%s: allocs_per_op grew %d -> %d (ceiling %d at tolerance %.0f%%)",
-					base.Name, base.AllocsPerOp, got.AllocsPerOp, ceiling, 100*tolerance))
+		if v := exceeds(base, got); v != "" {
+			violations = append(violations, v)
 		}
 	}
 	return violations

@@ -152,3 +152,29 @@ func TestCompareBenchAllocsIgnoresUngated(t *testing.T) {
 		t.Fatalf("ungated benchmark flagged: %v", v)
 	}
 }
+
+func TestCompareBenchNs(t *testing.T) {
+	prefixes := []string{"ReportSections/"}
+	baseline := &BenchDoc{Label: "pr25", Benchmarks: []BenchJSON{
+		{Name: "ReportSections/cold", NsPerOp: 350e6},
+		{Name: "ReportSections/warm", NsPerOp: 140e6},
+		{Name: "Ingest", NsPerOp: 30e6},
+	}}
+	fresh := &BenchDoc{Label: "ci", Benchmarks: []BenchJSON{
+		{Name: "ReportSections/cold", NsPerOp: 400e6}, // +14%: noise
+		{Name: "ReportSections/warm", NsPerOp: 140e6},
+		{Name: "Ingest", NsPerOp: 900e6}, // not gated
+	}}
+	if v := CompareBenchNs(baseline, fresh, prefixes, 0.30); len(v) != 0 {
+		t.Fatalf("within-tolerance rise flagged: %v", v)
+	}
+	fresh.Benchmarks[1].NsPerOp = 1300e6 // the report is back to seconds
+	v := CompareBenchNs(baseline, fresh, prefixes, 0.30)
+	if len(v) != 1 || !strings.Contains(v[0], "ReportSections/warm") || !strings.Contains(v[0], "rose") {
+		t.Fatalf("violations = %v, want one naming ReportSections/warm", v)
+	}
+	fresh.Benchmarks = fresh.Benchmarks[:1]
+	if v := CompareBenchNs(baseline, fresh, prefixes, 0.30); len(v) != 1 || !strings.Contains(v[0], "missing") {
+		t.Fatalf("missing gated benchmark not flagged: %v", v)
+	}
+}

@@ -6,7 +6,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/memes-pipeline/memes/internal/parallel"
@@ -133,46 +135,97 @@ func DBSCAN(hashes []phash.Hash, counts []int, cfg DBSCANConfig) (Result, error)
 // Cancellation during phase one returns ctx.Err() with a zero Result; no
 // goroutine outlives the call.
 func DBSCANCtx(ctx context.Context, hashes []phash.Hash, counts []int, cfg DBSCANConfig) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	n := len(hashes)
-	res := Result{Labels: make([]int, n)}
-	if n == 0 {
-		return res, nil
-	}
-	if counts != nil && len(counts) != n {
-		return Result{}, fmt.Errorf("cluster: counts length %d does not match hashes length %d", len(counts), n)
-	}
-
-	// Phase one: every point's eps-neighbourhood and its total occurrence
-	// weight, computed in parallel by the batch pairwise primitive.
-	phaseStart := now()
-	neigh, err := phash.NeighbourhoodsCtx(ctx, hashes, cfg.Eps, cfg.Workers)
+	results, err := SweepCtx(ctx, hashes, counts, []int{cfg.Eps}, cfg.MinPts, cfg.Workers)
 	if err != nil {
 		return Result{}, err
 	}
-	weights := make([]int, n)
-	if err := parallel.ForCtx(ctx, n, cfg.Workers, func(i int) {
-		if counts == nil {
-			weights[i] = len(neigh[i])
-			return
-		}
-		total := 0
-		for _, j := range neigh[i] {
-			total += counts[j]
-		}
-		weights[i] = total
-	}); err != nil {
-		return Result{}, err
-	}
-	res.Neighbourhoods = NeighbourhoodStats{Duration: since(phaseStart), Points: n}
+	return results[0], nil
+}
 
-	// Phase two: deterministic serial expansion over the cached
-	// neighbourhoods — the same breadth-first traversal, in the same order,
-	// as the historical implementation that re-queried the index per visit.
-	expand(neigh, weights, cfg.MinPts, &res)
-	return res, nil
+// SweepCtx runs DBSCANCtx at every eps of epsValues and returns the Results
+// in that order, each identical to a DBSCANCtx call at that eps, off a
+// single neighbourhood scan: phase one runs once, at the largest eps, and
+// every smaller eps filters the rows it left down by distance. Rows are in
+// ascending index order and filtering keeps that order, so a filtered row
+// equals the row a direct scan at the smaller eps returns, and the serial
+// expansion over it assigns the same labels. Each Result's Neighbourhoods
+// stats charge the shared scan plus that eps's own filtering pass.
+func SweepCtx(ctx context.Context, hashes []phash.Hash, counts []int, epsValues []int, minPts, workers int) ([]Result, error) {
+	if len(epsValues) == 0 {
+		return nil, errors.New("cluster: no eps values supplied")
+	}
+	for _, eps := range epsValues {
+		if err := (DBSCANConfig{Eps: eps, MinPts: minPts, Workers: workers}).Validate(); err != nil {
+			return nil, err
+		}
+	}
+	n := len(hashes)
+	results := make([]Result, len(epsValues))
+	for i := range results {
+		results[i].Labels = make([]int, n)
+	}
+	if n == 0 {
+		return results, nil
+	}
+	if counts != nil && len(counts) != n {
+		return nil, fmt.Errorf("cluster: counts length %d does not match hashes length %d", len(counts), n)
+	}
+	// Widest first, so that every later eps narrows the rows in place.
+	order := make([]int, len(epsValues))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return epsValues[order[a]] > epsValues[order[b]] })
+
+	// Phase one: every point's eps-neighbourhood at the widest eps, computed
+	// in parallel by the batch pairwise primitive.
+	scanStart := now()
+	radius := epsValues[order[0]]
+	neigh, err := phash.NeighbourhoodsCtx(ctx, hashes, radius, workers)
+	if err != nil {
+		return nil, err
+	}
+	scan := since(scanStart)
+
+	weights := make([]int, n)
+	for _, at := range order {
+		eps := epsValues[at]
+		passStart := now()
+		// Narrow each row to eps and total its occurrence weight.
+		if err := parallel.ForCtx(ctx, n, workers, func(i int) {
+			row := neigh[i]
+			if eps < radius {
+				kept := row[:0]
+				for _, j := range row {
+					if phash.Distance(hashes[i], hashes[j]) <= eps {
+						kept = append(kept, j)
+					}
+				}
+				row, neigh[i] = kept, kept
+			}
+			if counts == nil {
+				weights[i] = len(row)
+				return
+			}
+			total := 0
+			for _, j := range row {
+				total += counts[j]
+			}
+			weights[i] = total
+		}); err != nil {
+			return nil, err
+		}
+		radius = eps
+		res := &results[at]
+		res.Neighbourhoods = NeighbourhoodStats{Duration: scan + since(passStart), Points: n}
+
+		// Phase two: deterministic serial expansion over the cached
+		// neighbourhoods — the same breadth-first traversal, in the same
+		// order, as the historical implementation that re-queried the index
+		// per visit.
+		expand(neigh, weights, minPts, res)
+	}
+	return results, nil
 }
 
 // expand is DBSCAN's phase two: the deterministic serial breadth-first

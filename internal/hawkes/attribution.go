@@ -54,6 +54,7 @@ func Attribute(fit *FitResult) (*Attribution, error) {
 	for a := range r {
 		r[a] = make([]float64, k)
 	}
+	rows := make([]float64, n*k) // backs every RootCause row
 	lastT := 0.0
 	for j, e := range fit.Events {
 		decay := math.Exp(-omega * (e.Time - lastT))
@@ -65,7 +66,7 @@ func Attribute(fit *FitResult) (*Attribution, error) {
 		}
 		lastT = e.Time
 
-		row := make([]float64, k)
+		row := rows[j*k : (j+1)*k : (j+1)*k]
 		row[e.Process] += fit.BackgroundResponsibility[j]
 		for a := 0; a < k; a++ {
 			resp := fit.SourceResponsibility[j][a]

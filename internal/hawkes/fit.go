@@ -102,6 +102,12 @@ func Fit(events []Event, cfg FitConfig) (*FitResult, error) {
 // result. For the same events and configuration, FitCtx and Fit produce
 // bitwise-identical results — the serve path relies on this to pin
 // /v1/influence against the offline oracle.
+//
+// The decayed kernel sums S_a(t_j) = sum over previous events i on process a
+// of Omega * exp(-Omega (t_j - t_i)) depend only on the event times and
+// Omega, not on the parameters being estimated, so they are computed once
+// before the EM loop and held for its duration: O(len(events) * K) memory,
+// the size of SourceResponsibility.
 func FitCtx(ctx context.Context, events []Event, cfg FitConfig) (*FitResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -136,10 +142,34 @@ func FitCtx(ctx context.Context, events []Event, cfg FitConfig) (*FitResult, err
 		return &FitResult{Model: model, Converged: true, Events: evs}, nil
 	}
 
+	// sums[j*k+a] is S_a(t_j), by the recursion available for exponential
+	// kernels; event j itself joins the sums only after its row is taken.
+	sums := make([]float64, n*k)
+	s := make([]float64, k)
+	lastT := 0.0
+	for j, e := range evs {
+		decay := math.Exp(-cfg.Omega * (e.Time - lastT))
+		for a := 0; a < k; a++ {
+			s[a] *= decay
+		}
+		lastT = e.Time
+		copy(sums[j*k:], s)
+		s[e.Process] += cfg.Omega
+	}
+
 	bg := make([]float64, n)
 	src := make([][]float64, n)
+	srcRows := make([]float64, n*k)
 	for j := range src {
-		src[j] = make([]float64, k)
+		src[j] = srcRows[j*k : (j+1)*k : (j+1)*k]
+	}
+
+	// Accumulators for the M-step, cleared at the top of every iteration.
+	contrib := make([]float64, k)
+	bgSum := make([]float64, k)  // expected background events per process
+	wSum := make([][]float64, k) // expected direct offspring from a to b
+	for a := range wSum {
+		wSum[a] = make([]float64, k)
 	}
 
 	var iter int
@@ -148,52 +178,27 @@ func FitCtx(ctx context.Context, events []Event, cfg FitConfig) (*FitResult, err
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// E-step: recursive computation of S_a(t_j) = sum over previous
-		// events i on process a of Omega * exp(-Omega (t_j - t_i)).
-		s := make([]float64, k)
-		lastT := 0.0
-		// Accumulators for the M-step.
-		bgSum := make([]float64, k)  // expected background events per process
-		wSum := make([][]float64, k) // expected direct offspring from a to b
+		clear(bgSum)
 		for a := range wSum {
-			wSum[a] = make([]float64, k)
+			clear(wSum[a])
 		}
-		logLik := 0.0
+		// E-step.
 		for j, e := range evs {
-			decay := math.Exp(-cfg.Omega * (e.Time - lastT))
-			for a := 0; a < k; a++ {
-				s[a] *= decay
-			}
-			lastT = e.Time
-
+			sj := sums[j*k : (j+1)*k]
 			lambda := model.Mu[e.Process]
-			contrib := make([]float64, k)
 			for a := 0; a < k; a++ {
-				contrib[a] = model.W[a][e.Process] * s[a]
+				contrib[a] = model.W[a][e.Process] * sj[a]
 				lambda += contrib[a]
 			}
 			if lambda <= 0 {
 				lambda = 1e-12
 			}
-			logLik += math.Log(lambda)
 			bg[j] = model.Mu[e.Process] / lambda
 			bgSum[e.Process] += bg[j]
 			for a := 0; a < k; a++ {
 				r := contrib[a] / lambda
 				src[j][a] = r
 				wSum[a][e.Process] += r
-			}
-			// The event itself now contributes to future intensities.
-			s[e.Process] += cfg.Omega
-		}
-		// Compensator term of the log likelihood: integral of intensity.
-		for p := 0; p < k; p++ {
-			logLik -= model.Mu[p] * cfg.Horizon
-		}
-		for _, e := range evs {
-			kernelMass := 1 - math.Exp(-cfg.Omega*(cfg.Horizon-e.Time))
-			for q := 0; q < k; q++ {
-				logLik -= model.W[e.Process][q] * kernelMass
 			}
 		}
 
@@ -222,20 +227,17 @@ func FitCtx(ctx context.Context, events []Event, cfg FitConfig) (*FitResult, err
 		}
 	}
 
-	// Final log likelihood with the converged parameters (recomputed so the
-	// reported value matches the returned model).
-	logLik := LogLikelihood(model, evs, cfg.Horizon)
-
-	res := &FitResult{
-		Model:                    model,
-		Iterations:               iter,
-		Converged:                converged,
-		LogLikelihood:            logLik,
+	return &FitResult{
+		Model:      model,
+		Iterations: iter,
+		Converged:  converged,
+		// Computed from the returned parameters, so it describes the model
+		// the caller gets rather than the one the last E-step saw.
+		LogLikelihood:            LogLikelihood(model, evs, cfg.Horizon),
 		BackgroundResponsibility: bg,
 		SourceResponsibility:     src,
 		Events:                   evs,
-	}
-	return res, nil
+	}, nil
 }
 
 // LogLikelihood computes the observed-data log likelihood of the events

@@ -1,12 +1,16 @@
 package screenshot
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"image"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"github.com/memes-pipeline/memes/internal/imaging"
+	"github.com/memes-pipeline/memes/internal/parallel"
 )
 
 // Source identifies where a training image came from, mirroring the
@@ -94,33 +98,54 @@ type Corpus struct {
 
 // BuildCorpus synthesises a labelled corpus: screenshot sources are rendered
 // with imaging.Screenshot and the "other" source with imaging.Template plus
-// a random variant pass, then features are extracted.
+// a random variant pass, then features are extracted. The corpus is a
+// function of cfg alone: sources are visited in name order, every image's
+// seeds are drawn from cfg.Seed's stream in that order, and only then are
+// the images rendered and measured, in parallel.
 func BuildCorpus(cfg CorpusConfig) (*Corpus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	corpus := &Corpus{Counts: make(map[Source]int, len(cfg.Counts))}
-	for src, n := range cfg.Counts {
-		corpus.Counts[src] = n
-		for i := 0; i < n; i++ {
-			var img image.Image
-			isScreenshot := src != SourceOther
-			if isScreenshot {
+	corpus := &Corpus{Counts: maps.Clone(cfg.Counts)}
+	// One job per image: its source and the random draws that define it.
+	type job struct {
+		src               Source
+		height            int
+		seed, variantSeed int64
+	}
+	var jobs []job
+	for _, src := range slices.Sorted(maps.Keys(cfg.Counts)) {
+		for i := 0; i < cfg.Counts[src]; i++ {
+			j := job{src: src}
+			if src != SourceOther {
 				// Vary the aspect ratio a little per platform.
-				h := cfg.ImageSize + rng.Intn(cfg.ImageSize)
-				img = imaging.Screenshot(rng.Int63(), cfg.ImageSize, h)
+				j.height = cfg.ImageSize + rng.Intn(cfg.ImageSize)
+				j.seed = rng.Int63()
 			} else {
-				base := imaging.TemplateSized(rng.Int63(), cfg.ImageSize, cfg.ImageSize)
-				img = imaging.Variant(base, rng.Int63(), 0.4)
+				j.seed, j.variantSeed = rng.Int63(), rng.Int63()
 			}
-			corpus.Examples = append(corpus.Examples, Example{
-				Features: Features(img),
-				Label:    isScreenshot,
-				Source:   src,
-			})
+			jobs = append(jobs, j)
 		}
 	}
+	// context.TODO: BuildCorpus's signature has no context to thread, and
+	// without one MapChunksCtx cannot fail.
+	corpus.Examples, _ = parallel.MapChunksCtx(context.TODO(), len(jobs), 0, func(lo, hi int) []Example {
+		var ex extractor // one luminance plane per chunk, not per image
+		out := make([]Example, 0, hi-lo)
+		for _, j := range jobs[lo:hi] {
+			var img *image.RGBA
+			isScreenshot := j.src != SourceOther
+			if isScreenshot {
+				img = imaging.Screenshot(j.seed, cfg.ImageSize, j.height)
+			} else {
+				base := imaging.TemplateSized(j.seed, cfg.ImageSize, cfg.ImageSize)
+				img = imaging.Variant(base, j.variantSeed, 0.4)
+			}
+			out = append(out, Example{Features: ex.features(img), Label: isScreenshot, Source: j.src})
+		}
+		return out
+	})
 	// Shuffle so splits are class-balanced in expectation.
 	rng.Shuffle(len(corpus.Examples), func(i, j int) {
 		corpus.Examples[i], corpus.Examples[j] = corpus.Examples[j], corpus.Examples[i]

@@ -24,26 +24,58 @@ const NumFeatures = 10
 // Features computes the feature vector of an image. All features are scaled
 // to roughly [0, 1] so the network trains without per-feature normalisation.
 func Features(img image.Image) []float64 {
+	var ex extractor
+	return ex.features(img)
+}
+
+// extractor computes feature vectors, reusing one luminance plane across the
+// images it is handed. The zero value is ready; it is not safe for
+// concurrent use.
+type extractor struct {
+	gray []float64
+}
+
+// colorKeys is the number of quantised colours: 4 bits per channel.
+const colorKeys = 1 << 12
+
+func (ex *extractor) features(img image.Image) []float64 {
 	b := img.Bounds()
 	w, h := b.Dx(), b.Dy()
 	if w == 0 || h == 0 {
 		return make([]float64, NumFeatures)
 	}
-	gray := make([]float64, w*h)
-	colorKey := make([]uint32, w*h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			r, g, bl, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			r8, g8, b8 := float64(r>>8), float64(g>>8), float64(bl>>8)
-			gray[y*w+x] = 0.299*r8 + 0.587*g8 + 0.114*b8
-			// Quantised colour (4 bits per channel) for diversity estimation.
-			colorKey[y*w+x] = (r >> 12 << 8) | (g >> 12 << 4) | (bl >> 12)
+	if cap(ex.gray) < w*h {
+		ex.gray = make([]float64, w*h)
+	}
+	gray := ex.gray[:w*h]
+	// colors counts the pixels of each quantised colour, for the dominance
+	// and diversity estimates.
+	var colors [colorKeys]int32
+	if rgba, ok := img.(*image.RGBA); ok {
+		// The 8-bit samples straight from Pix: what At(x, y).RGBA() yields
+		// once its 16-bit widening is shifted back out, without boxing a
+		// color.Color per pixel.
+		for y := 0; y < h; y++ {
+			row := rgba.Pix[rgba.PixOffset(b.Min.X, b.Min.Y+y):]
+			for x := 0; x < w; x++ {
+				r, g, bl := row[4*x], row[4*x+1], row[4*x+2]
+				gray[y*w+x] = 0.299*float64(r) + 0.587*float64(g) + 0.114*float64(bl)
+				colors[uint32(r>>4)<<8|uint32(g>>4)<<4|uint32(bl>>4)]++
+			}
+		}
+	} else {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				r, g, bl, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
+				r8, g8, b8 := float64(r>>8), float64(g>>8), float64(bl>>8)
+				gray[y*w+x] = 0.299*r8 + 0.587*g8 + 0.114*b8
+				colors[(r>>12<<8)|(g>>12<<4)|(bl>>12)]++
+			}
 		}
 	}
 
 	f := make([]float64, NumFeatures)
-	f[0] = backgroundDominance(colorKey)
-	f[1] = colorDiversity(colorKey)
+	f[0], f[1] = colorStatistics(&colors, w*h)
 	f[2] = meanLuminance(gray)
 	f[3] = luminanceVariance(gray)
 	f[4] = horizontalEdgeDensity(gray, w, h)
@@ -55,35 +87,24 @@ func Features(img image.Image) []float64 {
 	return f
 }
 
-// backgroundDominance is the fraction of pixels sharing the single most
-// common quantised colour. Screenshots have large flat backgrounds.
-func backgroundDominance(keys []uint32) float64 {
-	counts := make(map[uint32]int)
-	for _, k := range keys {
-		counts[k]++
-	}
-	max := 0
-	for _, c := range counts {
+// colorStatistics reads two features off the quantised-colour histogram of
+// an image of the given pixel count. dominance is the fraction of pixels
+// sharing the single most common colour: screenshots have large flat
+// backgrounds. diversity is the number of distinct colours relative to a
+// saturation constant: memes and photos use many more colours than UI
+// screenshots.
+func colorStatistics(colors *[colorKeys]int32, pixels int) (dominance, diversity float64) {
+	var max int32
+	distinct := 0
+	for _, c := range colors {
 		if c > max {
 			max = c
 		}
+		if c > 0 {
+			distinct++
+		}
 	}
-	return float64(max) / float64(len(keys))
-}
-
-// colorDiversity is the number of distinct quantised colours relative to a
-// saturation constant; memes and photos use many more colours than UI
-// screenshots.
-func colorDiversity(keys []uint32) float64 {
-	distinct := make(map[uint32]struct{})
-	for _, k := range keys {
-		distinct[k] = struct{}{}
-	}
-	v := float64(len(distinct)) / 512.0
-	if v > 1 {
-		return 1
-	}
-	return v
+	return float64(max) / float64(pixels), math.Min(float64(distinct)/512.0, 1)
 }
 
 func meanLuminance(gray []float64) float64 {
