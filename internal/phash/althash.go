@@ -89,7 +89,7 @@ func differenceHash(img image.Image) (Hash, error) {
 		return 0, errEmptyImage
 	}
 	gray := toGray(img)
-	small := resizeBilinearRaw(gray.pix, gray.w, gray.h, 9, 8)
+	small := resizeBilinear(gray, 9, 8)
 	var h Hash
 	bit := 0
 	for y := 0; y < 8; y++ {

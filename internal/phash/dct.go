@@ -1,6 +1,8 @@
 package phash
 
 import (
+	_ "embed"
+	"encoding/binary"
 	"math"
 	"sync"
 )
@@ -28,7 +30,7 @@ func dctTopLeft(pix []float64, tmp, out []float64) {
 			sum := 0.0
 			tr := table[k*n : (k+1)*n]
 			for i, v := range row {
-				sum += v * tr[i]
+				sum += float64(v * tr[i])
 			}
 			tmp[y*dctBlock+k] = sum * scale[k]
 		}
@@ -43,7 +45,7 @@ func dctTopLeft(pix []float64, tmp, out []float64) {
 			sum := 0.0
 			tr := table[k*n : (k+1)*n]
 			for i, v := range col {
-				sum += v * tr[i]
+				sum += float64(v * tr[i])
 			}
 			out[k*dctBlock+x] = sum * scale[k]
 		}
@@ -94,7 +96,7 @@ func dct1D(src, dst []float64, table []float64) {
 		sum := 0.0
 		row := table[k*n:]
 		for i := 0; i < n; i++ {
-			sum += src[i] * row[i]
+			sum += float64(src[i] * row[i])
 		}
 		dst[k] = sum * dctScale(k, n)
 	}
@@ -130,16 +132,20 @@ func dctScaleTable() []float64 {
 	return dctScaleVals
 }
 
+// dctTableBits is the cosine basis table as little-endian float64 bits,
+// committed because math.Cos fuses multiply-adds on some architectures;
+// TestDCTTableMatchesCos holds it to math.Cos.
+//
+//go:embed dcttable.bin
+var dctTableBits []byte
+
 // dctTable returns the lowResSize x lowResSize cosine basis table where entry
 // (k, i) = cos(pi/n * (i + 0.5) * k).
 func dctTable() []float64 {
 	dctTableOnce.Do(func() {
-		n := lowResSize
-		dctTableVals = make([]float64, n*n)
-		for k := 0; k < n; k++ {
-			for i := 0; i < n; i++ {
-				dctTableVals[k*n+i] = math.Cos(math.Pi / float64(n) * (float64(i) + 0.5) * float64(k))
-			}
+		dctTableVals = make([]float64, lowResSize*lowResSize)
+		for i := range dctTableVals {
+			dctTableVals[i] = math.Float64frombits(binary.LittleEndian.Uint64(dctTableBits[8*i:]))
 		}
 	})
 	return dctTableVals

@@ -3,17 +3,20 @@ package phash
 import (
 	"image"
 	"image/color"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"github.com/memes-pipeline/memes/internal/imaging"
 )
 
 // TestGoldenHashes pins the exact hash of a fixed synthetic image set. The
 // values were computed with the pre-pruning full-DCT implementation, so any
-// drift in the pruned DCT, the pooled scratch, the median selection, or the
-// grayscale fast paths fails this test.
+// drift in the pruned DCT, the pooled scratch, the median selection, the
+// sampled conversion, or the grayscale fast paths fails this test.
 func TestGoldenHashes(t *testing.T) {
 	golden := []struct {
 		name string
@@ -35,6 +38,13 @@ func TestGoldenHashes(t *testing.T) {
 		{"screenshot_2", "4353d2ac2cfc3e0b"},
 		{"screenshot_3", "d6adb44b520329f5"},
 		{"screenshot_4", "a1ad03f45efcac03"},
+		// One image per conversion loop at a size other than 128x128,
+		// pinned before the sampled conversion replaced the full-frame one.
+		{"gray_200x150", "ad2d310e5c65558f"},
+		{"rgba_75x333", "47bf6a520da25c93"},
+		{"nrgba_150x100", "cab0005e3f3fd22d"},
+		{"ycbcr420_257x129", "71f2aa476e3409b5"},
+		{"ycbcr444_90x45", "557fe70265688555"},
 	}
 	images := map[string]image.Image{}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -43,6 +53,9 @@ func TestGoldenHashes(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		images[golden[7+seed].name] = imaging.Variant(imaging.Template(seed), seed*10+3, 0.3)
 		images[golden[11+seed].name] = imaging.Screenshot(seed, 320, 200)
+	}
+	for name, img := range goldenKindImages() {
+		images[name] = img
 	}
 	for _, g := range golden {
 		h, err := FromImage(images[g.name])
@@ -83,7 +96,7 @@ func TestGoldenHashes(t *testing.T) {
 // DCT, block copy, insertion-sorted median — with fresh allocations per
 // call. The pruned pooled implementation must match it bit for bit.
 func fromGrayReference(pix []float64, w, h int) Hash {
-	small := resizeBilinearRaw(pix, w, h, lowResSize, lowResSize)
+	small := resizeBilinear(grayMatrix{w: w, h: h, pix: pix}, lowResSize, lowResSize)
 	coeffs := dct2D(small)
 	var block [dctBlock * dctBlock]float64
 	for y := 0; y < dctBlock; y++ {
@@ -126,19 +139,15 @@ func TestFromGrayMatchesReference(t *testing.T) {
 	}
 }
 
-// opaque hides an image's concrete type so toGrayInto takes the generic
+// opaque hides an image's concrete type so sampleGray takes the generic
 // color.RGBAModel path, giving the fast paths something to be compared
 // against.
 type opaque struct{ image.Image }
 
 func grayEqual(t *testing.T, img image.Image, label string) {
 	t.Helper()
-	b := img.Bounds()
-	n := b.Dx() * b.Dy()
-	fast := make([]float64, n)
-	generic := make([]float64, n)
-	toGrayInto(img, fast)
-	toGrayInto(opaque{img}, generic)
+	fast := toGray(img).pix
+	generic := toGray(opaque{img}).pix
 	for i := range fast {
 		if fast[i] != generic[i] {
 			t.Fatalf("%s: luminance diverges at pixel %d: fast %v, generic %v", label, i, fast[i], generic[i])
@@ -176,6 +185,21 @@ func TestNRGBAFastPathMatchesGeneric(t *testing.T) {
 		img.Pix[i] = 0xff
 	}
 	grayEqual(t, img, "nrgba-opaque")
+}
+
+// TestLuminanceDefinition checks the luma tables against BT.601 for every
+// 8-bit triple: each product rounded on its own, summed left to right.
+func TestLuminanceDefinition(t *testing.T) {
+	for r := 0; r < 256; r++ {
+		for g := 0; g < 256; g++ {
+			for b := 0; b < 256; b++ {
+				want := float64(0.299*float64(r)) + float64(0.587*float64(g)) + float64(0.114*float64(b))
+				if got := luminance(uint8(r), uint8(g), uint8(b)); got != want {
+					t.Fatalf("luminance(%d, %d, %d) = %v, want %v", r, g, b, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestYCbCrFastPathMatchesGeneric pins the *image.YCbCr loop (JPEG-style
@@ -233,6 +257,53 @@ func TestHashPathZeroAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { medianExcludingFirst(block[:]) }); n != 0 {
 		t.Errorf("medianExcludingFirst: %v allocs/run, want 0", n)
+	}
+
+	// A hasher's scratch is fixed-size: a huge image neither allocates nor
+	// leaves the hasher holding memory in proportion to it.
+	if size := unsafe.Sizeof(hasher{}); size >= 64<<10 {
+		t.Errorf("hasher is %d bytes, want < 64 KB", size)
+	}
+	huge := gradientImage(4000, 4000, 2)
+	tiny := gradientImage(16, 16, 2)
+	hugeThenTiny := func() { FromImage(huge); FromImage(tiny) }
+	hugeThenTiny()
+	if n := testing.AllocsPerRun(10, hugeThenTiny); n != 0 {
+		t.Errorf("FromImage 4000x4000 then 16x16: %v allocs/run, want 0", n)
+	}
+	// Bytes are counted on one hasher outside the pool, which the race
+	// detector empties at random.
+	hs := new(hasher)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hs.hashImage(huge, 4000, 4000)
+	hs.hashImage(tiny, 16, 16)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n != 0 {
+		t.Errorf("hashing 4000x4000 then 16x16 allocated %d bytes, want 0", n)
+	}
+}
+
+// TestDCTTableMatchesCos checks the committed cosine table against its
+// definition: within an ulp of math.Cos everywhere, and bit for bit on
+// amd64, whose math.Cos is not fused and produced the table.
+func TestDCTTableMatchesCos(t *testing.T) {
+	n := lowResSize
+	table := dctTable()
+	if len(table) != n*n {
+		t.Fatalf("table has %d entries, want %d", len(table), n*n)
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			want := math.Cos(math.Pi / float64(n) * (float64(i) + 0.5) * float64(k))
+			got := table[k*n+i]
+			if runtime.GOARCH == "amd64" && got != want {
+				t.Fatalf("entry (%d, %d) = %v, math.Cos gives %v", k, i, got, want)
+			}
+			if ulp := math.Nextafter(want, math.Inf(1)) - want; math.Abs(got-want) > ulp {
+				t.Fatalf("entry (%d, %d) = %v, more than an ulp from math.Cos %v", k, i, got, want)
+			}
+		}
 	}
 }
 

@@ -38,12 +38,17 @@ const dctBlock = 8
 
 var errEmptyImage = errors.New("phash: empty image")
 
-// FromImage computes the perceptual hash of img. The hot path — grayscale
-// conversion, bilinear downsample, pruned DCT, median threshold — runs
-// entirely on pooled scratch, so steady-state hashing allocates nothing for
-// the common concrete image types (*image.Gray, *image.RGBA, *image.NRGBA,
-// *image.YCbCr). The annotation below puts this function under the noalloc
-// analyzer, complementing the runtime AllocsPerRun gate.
+// FromImage computes the perceptual hash of img. Only the pixels the
+// bilinear downsample reads are converted — at most 64 rows by 64 columns
+// of any image — into pooled fixed-size scratch, so steady-state hashing
+// allocates nothing for *image.Gray, *image.RGBA, *image.NRGBA and
+// *image.YCbCr; the annotation puts it under the noalloc analyzer.
+//
+// The hash is architecture-independent, as a wire and disk format must be:
+// every product on the path is rounded on its own (luma product tables, or
+// explicit float64(a*b) conversions, which the Go spec forbids fusing), and
+// the DCT cosine table is committed rather than computed by math.Cos, so
+// arm64 or ppc64le compute exactly amd64's bits.
 //
 //memes:noalloc
 func FromImage(img image.Image) (Hash, error) {
@@ -57,9 +62,7 @@ func FromImage(img image.Image) (Hash, error) {
 	}
 	hs := hasherPool.Get().(*hasher)
 	defer hasherPool.Put(hs)
-	pix := hs.grayBuf(w * h)
-	toGrayInto(img, pix)
-	return hs.hashGray(pix, w, h), nil
+	return hs.hashImage(img, w, h), nil
 }
 
 // FromGray computes the perceptual hash of a grayscale matrix given in
@@ -76,7 +79,9 @@ func FromGray(pix []float64, w, h int) (Hash, error) {
 	}
 	hs := hasherPool.Get().(*hasher)
 	defer hasherPool.Put(hs)
-	return hs.hashGray(pix, w, h), nil
+	hs.xs.init(w, lowResSize, false)
+	hs.ys.init(h, lowResSize, false)
+	return hs.hash(pix, w), nil
 }
 
 // errInvalidGray builds FromGray's invalid-input error; a separate function
@@ -146,69 +151,77 @@ func (h *Hash) UnmarshalText(data []byte) error {
 }
 
 // toGray converts an image to a float64 luminance matrix in row-major order
-// with the same dimensions as the source bounds.
+// with the same dimensions as the source bounds: sampleGray of every pixel.
 func toGray(img image.Image) grayMatrix {
 	b := img.Bounds()
-	w, h := b.Dx(), b.Dy()
-	m := grayMatrix{w: w, h: h, pix: make([]float64, w*h)}
-	toGrayInto(img, m.pix)
+	m := grayMatrix{w: b.Dx(), h: b.Dy(), pix: make([]float64, b.Dx()*b.Dy())}
+	sampleGray(img, seq(m.h), seq(m.w), m.pix)
 	return m
 }
 
-// toGrayInto writes the luminance matrix of img into dst (len >= Dx*Dy),
-// in row-major order. Dedicated loops cover the concrete image types the
-// synthetic and real corpora produce — *image.Gray, *image.RGBA,
-// *image.NRGBA, *image.YCbCr — without per-pixel interface conversions;
-// every fast path computes exactly the value the generic color.RGBAModel
-// path would (pinned by equivalence tests), so the hash does not depend on
-// which path ran.
+// seq returns 0, 1, ..., n-1.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
+// sampleGray writes the luminance of the pixels at rows x cols of img
+// (offsets from img.Bounds().Min) into dst in row-major order,
+// len(rows)*len(cols) values. Dedicated loops cover the concrete image
+// types the synthetic and real corpora produce — *image.Gray, *image.RGBA,
+// *image.NRGBA, *image.YCbCr — with the type switch outside the pixel
+// loop; every fast path computes exactly the value the generic
+// color.RGBAModel path would (pinned by equivalence tests), so the hash
+// does not depend on which path ran.
 //
 //memes:noalloc
-func toGrayInto(img image.Image, dst []float64) {
+func sampleGray(img image.Image, rows, cols []int, dst []float64) {
 	b := img.Bounds()
-	w, h := b.Dx(), b.Dy()
+	k := 0
 	switch src := img.(type) {
 	case *image.Gray:
-		for y := 0; y < h; y++ {
-			row := src.Pix[(y+b.Min.Y-src.Rect.Min.Y)*src.Stride:]
-			for x := 0; x < w; x++ {
-				dst[y*w+x] = float64(row[x+b.Min.X-src.Rect.Min.X])
+		for _, y := range rows {
+			row := src.Pix[src.PixOffset(b.Min.X, b.Min.Y+y):]
+			for _, x := range cols {
+				dst[k] = float64(row[x])
+				k++
 			}
 		}
 	case *image.RGBA:
-		for y := 0; y < h; y++ {
-			i := src.PixOffset(b.Min.X, y+b.Min.Y)
-			for x := 0; x < w; x++ {
-				r, g, bl := src.Pix[i], src.Pix[i+1], src.Pix[i+2]
-				dst[y*w+x] = luminance(float64(r), float64(g), float64(bl))
-				i += 4
+		for _, y := range rows {
+			row := src.Pix[src.PixOffset(b.Min.X, b.Min.Y+y):]
+			for _, x := range cols {
+				dst[k] = luminance(row[4*x], row[4*x+1], row[4*x+2])
+				k++
 			}
 		}
 	case *image.NRGBA:
-		for y := 0; y < h; y++ {
-			i := src.PixOffset(b.Min.X, y+b.Min.Y)
-			for x := 0; x < w; x++ {
-				a := uint32(src.Pix[i+3])
-				r := npremul(uint32(src.Pix[i]), a)
-				g := npremul(uint32(src.Pix[i+1]), a)
-				bl := npremul(uint32(src.Pix[i+2]), a)
-				dst[y*w+x] = luminance(float64(r), float64(g), float64(bl))
-				i += 4
+		for _, y := range rows {
+			row := src.Pix[src.PixOffset(b.Min.X, b.Min.Y+y):]
+			for _, x := range cols {
+				p := row[4*x : 4*x+4]
+				a := uint32(p[3])
+				dst[k] = luminance(npremul(uint32(p[0]), a), npremul(uint32(p[1]), a), npremul(uint32(p[2]), a))
+				k++
 			}
 		}
 	case *image.YCbCr:
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				c := src.YCbCrAt(x+b.Min.X, y+b.Min.Y)
-				r, g, bl := ycbcrToRGB8(c.Y, c.Cb, c.Cr)
-				dst[y*w+x] = luminance(float64(r), float64(g), float64(bl))
+		for _, y := range rows {
+			for _, x := range cols {
+				c := src.YCbCrAt(b.Min.X+x, b.Min.Y+y)
+				dst[k] = luminance(ycbcrToRGB8(c.Y, c.Cb, c.Cr))
+				k++
 			}
 		}
 	default:
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				c := color.RGBAModel.Convert(img.At(x+b.Min.X, y+b.Min.Y)).(color.RGBA)
-				dst[y*w+x] = luminance(float64(c.R), float64(c.G), float64(c.B))
+		for _, y := range rows {
+			for _, x := range cols {
+				c := color.RGBAModel.Convert(img.At(b.Min.X+x, b.Min.Y+y)).(color.RGBA)
+				dst[k] = luminance(c.R, c.G, c.B)
+				k++
 			}
 		}
 	}
@@ -254,9 +267,19 @@ func ycbcrToRGB8(yy, cb, cr uint8) (uint8, uint8, uint8) {
 	return uint8(uint32(r) >> 8), uint8(uint32(g) >> 8), uint8(uint32(b) >> 8)
 }
 
-// luminance computes the ITU-R BT.601 luma from 8-bit RGB components.
-func luminance(r, g, b float64) float64 {
-	return 0.299*r + 0.587*g + 0.114*b
+// luminance computes the ITU-R BT.601 luma 0.299*r + 0.587*g + 0.114*b of
+// 8-bit RGB components, summed left to right. Each product is read from a
+// table that holds it already rounded, so nothing can be fused.
+func luminance(r, g, b uint8) float64 {
+	return lumR[r] + lumG[g] + lumB[b]
+}
+
+var lumR, lumG, lumB [256]float64
+
+func init() {
+	for v := range lumR {
+		lumR[v], lumG[v], lumB[v] = 0.299*float64(v), 0.587*float64(v), 0.114*float64(v)
+	}
 }
 
 type grayMatrix struct {
@@ -264,52 +287,77 @@ type grayMatrix struct {
 	pix  []float64
 }
 
-// resizeBilinear resizes a grayscale matrix to dw x dh using bilinear
-// interpolation and returns the result in row-major order.
+// resizeBilinear resizes a grayscale matrix to dw x dh (each at most
+// lowResSize) using bilinear interpolation and returns the result in
+// row-major order.
 func resizeBilinear(m grayMatrix, dw, dh int) []float64 {
-	return resizeBilinearRaw(m.pix, m.w, m.h, dw, dh)
-}
-
-func resizeBilinearRaw(pix []float64, sw, sh, dw, dh int) []float64 {
+	var xs, ys axisTaps
+	xs.init(m.w, dw, false)
+	ys.init(m.h, dh, false)
 	out := make([]float64, dw*dh)
-	resizeBilinearInto(out, pix, sw, sh, dw, dh)
+	resizeTaps(out, m.pix, m.w, &xs, &ys)
 	return out
 }
 
-// resizeBilinearInto is resizeBilinearRaw writing into a caller-provided
-// buffer of length dw*dh, so pooled hashers resize without allocating.
+// axisTaps is one axis of a bilinear resize from s source samples to
+// d <= lowResSize outputs: output i blends taps lo[i] and hi[i] (lo[i] or
+// the next sample) with weight frac[i] on hi[i]. The taps are source
+// coordinates, or, compacted, indexes into src: the n <= 2d distinct source
+// coordinates tapped, ascending.
+type axisTaps struct {
+	s, d, n int
+	lo, hi  [lowResSize]int
+	frac    [lowResSize]float64
+	src     [2 * lowResSize]int
+}
+
+// init computes the taps of an s-to-d axis.
 //
 //memes:noalloc
-func resizeBilinearInto(out, pix []float64, sw, sh, dw, dh int) {
-	if sw == dw && sh == dh {
+func (a *axisTaps) init(s, d int, compact bool) {
+	a.s, a.d, a.n = s, d, 0
+	ratio := float64(s-1) / float64(max(d-1, 1))
+	for i := 0; i < d; i++ {
+		p := float64(float64(i) * ratio)
+		lo := int(p)
+		hi := min(lo+1, s-1)
+		a.frac[i] = p - float64(lo)
+		if !compact {
+			a.lo[i], a.hi[i] = lo, hi
+			continue
+		}
+		// lo and hi never decrease with i, so src stays ascending and
+		// ends at hi, with lo (if different) just before it.
+		for _, v := range [2]int{lo, hi} {
+			if a.n == 0 || a.src[a.n-1] < v {
+				a.src[a.n], a.n = v, a.n+1
+			}
+		}
+		a.hi[i] = a.n - 1
+		a.lo[i] = a.n - 1 - (hi - lo)
+	}
+}
+
+// resizeTaps bilinearly resizes pix, row-major with the given row stride,
+// to xs.d x ys.d through the axes' taps. Each product is rounded explicitly
+// (float64(a*b)) so that no architecture fuses it into the add.
+//
+//memes:noalloc
+func resizeTaps(out, pix []float64, stride int, xs, ys *axisTaps) {
+	dw, dh := xs.d, ys.d
+	if xs.s == dw && ys.s == dh {
 		copy(out, pix)
 		return
 	}
-	xRatio := float64(sw-1) / float64(maxInt(dw-1, 1))
-	yRatio := float64(sh-1) / float64(maxInt(dh-1, 1))
 	for y := 0; y < dh; y++ {
-		sy := float64(y) * yRatio
-		y0 := int(sy)
-		y1 := y0
-		if y1 < sh-1 {
-			y1++
-		}
-		fy := sy - float64(y0)
+		r0 := pix[ys.lo[y]*stride:]
+		r1 := pix[ys.hi[y]*stride:]
+		fy := ys.frac[y]
 		for x := 0; x < dw; x++ {
-			sx := float64(x) * xRatio
-			x0 := int(sx)
-			x1 := x0
-			if x1 < sw-1 {
-				x1++
-			}
-			fx := sx - float64(x0)
-			p00 := pix[y0*sw+x0]
-			p01 := pix[y0*sw+x1]
-			p10 := pix[y1*sw+x0]
-			p11 := pix[y1*sw+x1]
-			top := p00 + (p01-p00)*fx
-			bot := p10 + (p11-p10)*fx
-			out[y*dw+x] = top + (bot-top)*fy
+			x0, x1, fx := xs.lo[x], xs.hi[x], xs.frac[x]
+			top := r0[x0] + float64((r0[x1]-r0[x0])*fx)
+			bot := r1[x0] + float64((r1[x1]-r1[x0])*fx)
+			out[y*dw+x] = top + float64((bot-top)*fy)
 		}
 	}
 }
@@ -363,11 +411,4 @@ func medianSelect(tmp []float64) float64 {
 		return tmp[mid]
 	}
 	return (tmp[mid-1] + tmp[mid]) / 2
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

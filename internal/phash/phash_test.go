@@ -336,7 +336,7 @@ func TestMedianExcludingFirst(t *testing.T) {
 
 func TestResizeBilinearIdentity(t *testing.T) {
 	pix := []float64{1, 2, 3, 4}
-	out := resizeBilinearRaw(pix, 2, 2, 2, 2)
+	out := resizeBilinear(grayMatrix{w: 2, h: 2, pix: pix}, 2, 2)
 	for i := range pix {
 		if out[i] != pix[i] {
 			t.Fatalf("identity resize changed pixel %d: %v", i, out[i])
@@ -350,7 +350,7 @@ func TestResizeBilinearRange(t *testing.T) {
 	for i := range pix {
 		pix[i] = rng.Float64() * 255
 	}
-	out := resizeBilinearRaw(pix, 50, 40, 32, 32)
+	out := resizeBilinear(grayMatrix{w: 50, h: 40, pix: pix}, 32, 32)
 	if len(out) != 32*32 {
 		t.Fatalf("unexpected output length %d", len(out))
 	}
