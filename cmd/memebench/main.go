@@ -54,7 +54,7 @@ func main() {
 	benchtime := flag.String("benchtime", "", "benchmark time target, as accepted by -test.benchtime (e.g. 1x, 2s)")
 	workers := flag.Int("workers", 0, "full worker-pool size for the parallel variants (0 = GOMAXPROCS)")
 	baseline := flag.String("baseline", "", "committed BENCH_<label>.json to gate this run against; exits non-zero on regression")
-	regress := flag.Float64("regress", 0.30, "tolerated fractional images/sec drop (and ReportSections ns/op rise) vs -baseline before the gate fails")
+	regress := flag.Float64("regress", 0.30, "tolerated fractional images/sec drop (and ReportSections, DBSCAN ns/op rise) vs -baseline before the gate fails")
 	testing.Init()
 	flag.Parse()
 	if err := validateLabel(*label); err != nil {
@@ -79,7 +79,7 @@ func main() {
 		full = runtime.GOMAXPROCS(0)
 	}
 
-	doc := cli.NewBenchDoc(*label)
+	doc := cli.NewBenchDoc(*label, flag.Lookup("test.benchtime").Value.String(), full)
 	run := func(name string, fn func(b *testing.B)) {
 		r := testing.Benchmark(fn)
 		if r.N == 0 {
@@ -159,9 +159,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %d benchmark results to %s\n", len(doc.Benchmarks), path)
 
 	// The trajectory gate: the fresh point must not fall off a cliff
-	// relative to the committed baseline on the two images/sec headlines —
-	// the full build path and the Step 6 serve path. The tolerance absorbs
-	// runner noise; order-of-magnitude regressions fail the run.
+	// relative to the committed baseline. The tolerance absorbs runner
+	// noise; order-of-magnitude regressions fail the run.
 	if *baseline != "" {
 		raw, err := os.ReadFile(*baseline)
 		if err != nil {
@@ -171,11 +170,7 @@ func main() {
 		if err := json.Unmarshal(raw, &base); err != nil {
 			log.Fatalf("decoding baseline %s: %v", *baseline, err)
 		}
-		violations := cli.CompareBench(&base, &doc, gatedPrefixes, "images_per_sec", *regress)
-		// Allocation counts are gated as a ceiling: the steady-state serve
-		// paths are pinned at their baseline allocs/op, so a baseline of 0
-		// means 0 forever — no tolerance loosens a zero-alloc invariant.
-		violations = append(violations, cli.CompareBenchAllocs(&base, &doc, allocGatedPrefixes, *regress)...)
+		violations := gate(&base, &doc, *regress)
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, "REGRESSION: "+v)
 		}
@@ -194,8 +189,20 @@ var gatedPrefixes = []string{"PipelineRun/", "EngineAssociate/"}
 // the zero-alloc steady-state serve paths and Step 1 hashing.
 var allocGatedPrefixes = []string{"EngineAssociateSteady/", "EngineMatchSteady/", "PhashExtraction"}
 
-// nsGatedPrefixes names the families whose ns/op is a ceiling: Step 7.
-var nsGatedPrefixes = []string{"ReportSections/"}
+// nsGatedPrefixes names the families whose ns/op is a ceiling: Step 7 and
+// DBSCAN's phase one.
+var nsGatedPrefixes = []string{"ReportSections/", "DBSCAN/"}
+
+// gate is the -baseline check, one line per violation: images/sec floors
+// on the build and serve headlines, allocs/op ceilings on the steady-state
+// paths (a baseline of 0 means 0 forever: no tolerance loosens a zero-alloc
+// invariant), and ns/op ceilings on the families timed by wall. A baseline
+// taken at another benchtime is refused.
+func gate(base, fresh *cli.BenchDoc, tolerance float64) []string {
+	violations := cli.CompareBench(base, fresh, gatedPrefixes, "images_per_sec", tolerance)
+	violations = append(violations, cli.CompareBenchAllocs(base, fresh, allocGatedPrefixes, tolerance)...)
+	return append(violations, cli.CompareBenchNs(base, fresh, nsGatedPrefixes, tolerance)...)
+}
 
 // steadyStrategies lists the index strategies whose steady-state serve path
 // is pinned to zero allocations: every built-in.
@@ -491,7 +498,10 @@ func (st *benchState) benchEngineSnapshotLoad(b *testing.B, version uint32) {
 // rate is dominated by the probe-and-assign step (posts matching annotated
 // medoids are servable immediately). The threshold is set out of reach so
 // no background re-cluster runs inside the timed loop, and the journal is
-// disabled — this is the pure in-memory absorption rate.
+// disabled — this is the pure in-memory absorption rate. Every iteration
+// ingests into a fresh Ingestor, built and closed outside the timer, so
+// each starts from an empty pending pool and ns/op and bytes/op do not
+// depend on b.N.
 func (st *benchState) benchIngest(b *testing.B) {
 	ctx := context.Background()
 	eng, err := memes.NewEngine(ctx, st.ds, st.site)
@@ -499,18 +509,24 @@ func (st *benchState) benchIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	hot := memes.NewHotEngine(eng)
-	g, err := memes.NewIngestor(hot, st.ds, st.site, memes.IngestConfig{Threshold: 1 << 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer g.Close()
 	batch := st.ds.Posts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		g, err := memes.NewIngestor(hot, st.ds, st.site, memes.IngestConfig{Threshold: 1 << 30})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		if _, err := g.Ingest(ctx, batch); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		if err := g.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {

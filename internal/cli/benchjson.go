@@ -23,25 +23,43 @@ type BenchJSON struct {
 
 // BenchDoc is the BENCH_<label>.json document: one point of the repo's
 // performance trajectory, labelled by run (e.g. "ci") and annotated with
-// the platform the numbers came from.
+// the platform the numbers came from and how they were taken: the
+// -benchtime setting and the worker-pool size of the parallel variants.
 type BenchDoc struct {
 	Label      string      `json:"label"`
 	GoOS       string      `json:"goos"`
 	GoArch     string      `json:"goarch"`
 	GoMaxProcs int         `json:"gomaxprocs"`
+	Benchtime  string      `json:"benchtime"`
+	Workers    int         `json:"workers"`
 	Benchmarks []BenchJSON `json:"benchmarks"`
 }
 
-// NewBenchDoc returns an empty document for the current platform. The
-// Benchmarks slice starts non-nil so the contract is an array, never null.
-func NewBenchDoc(label string) BenchDoc {
+// NewBenchDoc returns an empty document for the current platform, taken at
+// the given benchtime and worker count. The Benchmarks slice starts non-nil
+// so the contract is an array, never null.
+func NewBenchDoc(label, benchtime string, workers int) BenchDoc {
 	return BenchDoc{
 		Label:      label,
 		GoOS:       runtime.GOOS,
 		GoArch:     runtime.GOARCH,
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Benchtime:  benchtime,
+		Workers:    workers,
 		Benchmarks: []BenchJSON{},
 	}
+}
+
+// benchtimeMismatch refuses a comparison between points taken at different
+// -benchtime settings: an iteration count and a time target do not time
+// the same thing (three iterations of a 200 ns operation time the timer).
+// It returns the one violation line, or nil when the settings agree.
+func benchtimeMismatch(baseline, fresh *BenchDoc) []string {
+	if baseline.Benchtime == fresh.Benchtime {
+		return nil
+	}
+	return []string{fmt.Sprintf("baseline %q was taken at -benchtime %q and fresh run %q at %q: points taken at different benchtimes are not compared",
+		baseline.Label, baseline.Benchtime, fresh.Label, fresh.Benchtime)}
 }
 
 // Add appends one testing.Benchmark result under the given name.
@@ -81,8 +99,11 @@ func (d *BenchDoc) Bench(name string) (BenchJSON, bool) {
 // present only in the fresh document are ignored — new machines and new
 // benchmarks must not fail the gate — and so are cross-run differences the
 // tolerance absorbs, so the gate catches order-of-magnitude cliffs, not
-// runner noise.
+// runner noise. A baseline taken at another benchtime is refused outright.
 func CompareBench(baseline, fresh *BenchDoc, prefixes []string, metric string, tolerance float64) []string {
+	if v := benchtimeMismatch(baseline, fresh); v != nil {
+		return v
+	}
 	var violations []string
 	for _, base := range baseline.Benchmarks {
 		if !gatedBy(base.Name, prefixes) {
@@ -144,8 +165,12 @@ func CompareBenchNs(baseline, fresh *BenchDoc, prefixes []string, tolerance floa
 
 // compareCeiling walks the gated baseline benchmarks and collects one line
 // per benchmark the fresh run lacks or for which exceeds returns a
-// violation ("" means within the ceiling).
+// violation ("" means within the ceiling). A baseline taken at another
+// benchtime is refused outright.
 func compareCeiling(baseline, fresh *BenchDoc, prefixes []string, exceeds func(base, got BenchJSON) string) []string {
+	if v := benchtimeMismatch(baseline, fresh); v != nil {
+		return v
+	}
 	var violations []string
 	for _, base := range baseline.Benchmarks {
 		if !gatedBy(base.Name, prefixes) {

@@ -153,6 +153,22 @@ func TestCompareBenchAllocsIgnoresUngated(t *testing.T) {
 	}
 }
 
+// TestCompareRefusesOtherBenchtime: every gate refuses a baseline taken at
+// a different -benchtime, whatever the numbers say.
+func TestCompareRefusesOtherBenchtime(t *testing.T) {
+	baseline, fresh := compareDocs()
+	baseline.Benchtime, fresh.Benchtime = "3x", "1s"
+	for name, v := range map[string][]string{
+		"CompareBench":       CompareBench(baseline, fresh, gatePrefixes, "images_per_sec", 0.30),
+		"CompareBenchAllocs": CompareBenchAllocs(baseline, fresh, gatePrefixes, 0.30),
+		"CompareBenchNs":     CompareBenchNs(baseline, fresh, gatePrefixes, 0.30),
+	} {
+		if len(v) != 1 || !strings.Contains(v[0], "benchtime") {
+			t.Errorf("%s compared points taken at different benchtimes: %v", name, v)
+		}
+	}
+}
+
 func TestCompareBenchNs(t *testing.T) {
 	prefixes := []string{"ReportSections/"}
 	baseline := &BenchDoc{Label: "pr25", Benchmarks: []BenchJSON{

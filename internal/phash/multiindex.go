@@ -8,30 +8,83 @@ import (
 	"github.com/memes-pipeline/memes/internal/parallel"
 )
 
-// The band layout shared by MultiIndex and the Neighbourhoods probing
-// regime: a 64-bit hash is eight disjoint 8-bit bands.
-const (
-	mihBands    = 8
-	mihBandBits = Size / mihBands
-	mihBuckets  = 1 << mihBandBits
-	// mihLinearRadius is the radius from which a probe stops using the
-	// bands: the substring bound below would need band values two flips
-	// away, by which point the probe set covers most of the table anyway.
-	mihLinearRadius = 2 * mihBands
-	// mihMaxSpans bounds a probe set: every band at band-radius one.
-	mihMaxSpans = mihBands * (1 + mihBandBits)
+// The band layouts. A 64-bit hash is cut into disjoint bands of balanced
+// widths, and the layout is a function of the number of hashes alone,
+// chosen when the table is built. Norouzi, Punjani & Fleet's analysis of
+// multi-index hashing puts the best band width near log₂ n: narrow bands
+// leave ~n/2^bits entries in every bucket a probe or a join reads, wide ones
+// leave most buckets empty. Below wideCutover the table is eight 8-bit
+// bands, so every serve index measured (147 and 4,698 medoids) keeps Step
+// 6's layout and numbers. From wideCutover on it is six bands, four of 11
+// bits and two of 10: the fewest bands whose one-flip budget still reaches
+// Table 8's widest eps of 10 (see linearRadius).
+var (
+	narrowBands = []uint8{8, 8, 8, 8, 8, 8, 8, 8}
+	wideBands   = []uint8{11, 11, 11, 11, 10, 10}
 )
+
+// wideCutover is the table size from which newBandTable picks wideBands.
+// Measured with the self-join on meme-like corpora (2-vCPU VM, one worker):
+// the wide layout ties eight 8-bit bands near 4,096 hashes and is 1.4×
+// (eps 8) to 1.9× (eps 10) ahead at 8,192 and 1.5× to 2.5× at 23,629, while
+// Step 6's probe at 4,698 medoids stays on the 8-bit bands. A variable only
+// so the equivalence tests can force either layout; the layout never
+// changes a result.
+var wideCutover = 1 << 13
+
+// mihMaxSpans bounds a probe set: every band at band-radius one, which is
+// 8·(1+8) = 6·(1+11) = 72 spans under either layout.
+const mihMaxSpans = 72
+
+// bandWidths returns the band layout for a table over n hashes.
+func bandWidths(n int) []uint8 {
+	if n >= wideCutover {
+		return wideBands
+	}
+	return narrowBands
+}
+
+// linearRadius is the radius from which a table of the given number of
+// bands stops using them: flipBudget would need band values two flips away,
+// by which point the candidates cover most of the table anyway.
+func linearRadius(bands int) int { return 2 * bands }
+
+// flipBudget is Norouzi's substring bound: write radius = m·r + a over m
+// bands; a hash within radius of another differs from it by at most r bits
+// in one of bands 0..a, or by at most r-1 bits in one of the others —
+// otherwise the bands alone would add up to more than radius, whatever
+// their widths. It returns how far band b may differ; negative means the
+// band is not needed.
+func flipBudget(radius, bands, b int) int {
+	if b > radius%bands {
+		return radius/bands - 1
+	}
+	return radius / bands
+}
+
+// band is one substring of the hash, bits [shift, shift+bits), with the
+// CSR offsets of its copy of the table: the entries whose key is v sit at
+// positions [offs[v], offs[v+1]) of bandTable.hashes and slots.
+type band struct {
+	shift uint
+	bits  int
+	mask  Hash
+	offs  []int // 1<<bits + 1 entries
+}
+
+// key returns h's bucket in this band.
+func (b *band) key(h Hash) int { return int(h >> b.shift & b.mask) }
 
 // bandTable is a pointer-free multi-index hashing table over a fixed slice
 // of hashes. Every band holds a full copy of the entries sorted by that
-// band's value (one stable counting sort each), addressed CSR-style: the
-// entries whose band b equals v sit at positions [offs[b][v], offs[b][v+1])
-// of hashes/slots, in ascending input order. A probe is then a handful of
-// contiguous popcount scans instead of map lookups.
+// band's value (one stable counting sort each), addressed CSR-style, in
+// ascending input order within a bucket. A probe is then a handful of
+// contiguous popcount scans instead of map lookups, and a self-join a walk
+// over the buckets in key order.
 type bandTable struct {
 	src    []Hash // the input, not copied
-	offs   [mihBands][mihBuckets + 1]int
-	hashes []Hash  // mihBands copies of src; band b's at [b*n, (b+1)*n)
+	bands  []band
+	hashes []Hash  // one copy of src per band; band b's at [b*n, (b+1)*n)
 	slots  []int32 // parallel to hashes: the entry's index in src
 }
 
@@ -39,68 +92,163 @@ type bandTable struct {
 type span struct{ lo, hi int }
 
 // newBandTable indexes hashes, which the table keeps a reference to; slot i
-// of the table is hashes[i].
+// of the table is hashes[i]. The layout is bandWidths(len(hashes)).
 func newBandTable(hashes []Hash) *bandTable {
 	n := len(hashes)
-	t := &bandTable{src: hashes, hashes: make([]Hash, mihBands*n), slots: make([]int32, mihBands*n)}
-	for b := range t.offs {
-		shift := uint(b * mihBandBits)
-		var next [mihBuckets]int
+	widths := bandWidths(n)
+	t := &bandTable{
+		src:    hashes,
+		bands:  make([]band, len(widths)),
+		hashes: make([]Hash, len(widths)*n),
+		slots:  make([]int32, len(widths)*n),
+	}
+	size := 0
+	for _, w := range widths {
+		size += 1<<w + 1
+	}
+	offs := make([]int, size)
+	next := make([]int, 1<<slices.Max(widths))
+	shift := uint(0)
+	for b, w := range widths {
+		buckets := 1 << w
+		bd := band{shift: shift, bits: int(w), mask: Hash(buckets - 1), offs: offs[: buckets+1 : buckets+1]}
+		offs, shift = offs[buckets+1:], shift+uint(w)
+		bd.offs[0] = b * n
 		for _, h := range hashes {
-			next[uint8(h>>shift)]++
+			bd.offs[bd.key(h)+1]++
 		}
-		at := b * n
-		for v, c := range next {
-			t.offs[b][v], next[v] = at, at
-			at += c
+		for v := 1; v <= buckets; v++ {
+			bd.offs[v] += bd.offs[v-1]
 		}
-		t.offs[b][mihBuckets] = at
+		copy(next, bd.offs[:buckets])
 		for i, h := range hashes {
-			p := next[uint8(h>>shift)]
-			next[uint8(h>>shift)]++
-			t.hashes[p], t.slots[p] = h, int32(i)
+			k := bd.key(h)
+			t.hashes[next[k]], t.slots[next[k]] = h, int32(i)
+			next[k]++
 		}
+		t.bands[b] = bd
 	}
 	return t
 }
 
 // spans appends to buf the entry ranges that together hold every hash
-// within radius of q (some of them more than once). It is Norouzi's
-// substring bound: write radius = mihBands·r + a; a hash within radius of q
-// differs from it by at most r bits in one of bands 0..a, or by at most r-1
-// bits in one of the others — otherwise the bands alone would add up to
-// more than radius. At the pipeline's radius of 8 that is band 0 at one
-// flip and bands 1-7 exact: 16 buckets, about n/16 entries. From
-// mihLinearRadius on the answer is band 0's copy, which is every entry once.
+// within radius of q (some of them more than once): per band, q's bucket
+// and, where flipBudget allows a flip, the buckets one bit away. At the
+// pipeline's radius of 8 over eight bands that is band 0 at one flip and
+// bands 1-7 exact: 16 buckets, about n/16 entries. From linearRadius on the
+// answer is band 0's copy, which is every entry once.
 //
 //memes:noalloc
 func (t *bandTable) spans(q Hash, radius int, buf []span) []span {
 	if radius < 0 {
 		return buf
 	}
-	if radius >= mihLinearRadius {
+	m := len(t.bands)
+	if radius >= linearRadius(m) {
 		return append(buf, span{0, len(t.src)})
 	}
-	r, a := radius/mihBands, radius%mihBands
-	for b := 0; b < mihBands; b++ {
-		flips := r // how far band b may differ
-		if b > a {
-			flips--
-		}
+	for b := range t.bands {
+		flips := flipBudget(radius, m, b)
 		if flips < 0 {
 			break
 		}
-		offs := &t.offs[b]
-		key := int(uint8(q >> uint(b*mihBandBits)))
-		buf = append(buf, span{offs[key], offs[key+1]})
+		bd := &t.bands[b]
+		key := bd.key(q)
+		buf = append(buf, span{bd.offs[key], bd.offs[key+1]})
 		if flips > 0 {
-			for bit := 0; bit < mihBandBits; bit++ {
+			for bit := 0; bit < bd.bits; bit++ {
 				k := key ^ 1<<bit
-				buf = append(buf, span{offs[k], offs[k+1]})
+				buf = append(buf, span{bd.offs[k], bd.offs[k+1]})
 			}
 		}
 	}
 	return buf
+}
+
+// pair is two input indexes within the join radius of each other.
+type pair struct{ i, j int32 }
+
+// selfJoin returns every pair of the table's entries within radius of each
+// other, each exactly once, as one list per task; radius must be in
+// [0, linearRadius). For each band the flip budget admits, it walks the
+// buckets in key order and popcounts each bucket against itself and, when
+// the band may differ by a flip, against every higher-keyed bucket one bit
+// away — so a candidate pair is examined once per band that admits it, not
+// once from each end, and memory is read in bucket order. A pair within
+// radius is kept only in the lowest band that admits it, so no pair is
+// found twice and the output needs no deduplication. The bands' key ranges
+// are cut into tasks run on up to w goroutines.
+func (t *bandTable) selfJoin(ctx context.Context, radius, w int) ([][]pair, error) {
+	type task struct{ b, lo, hi int }
+	per := 1
+	if w > 1 {
+		per = 4 * w
+	}
+	var tasks []task
+	for b := range t.bands {
+		if flipBudget(radius, len(t.bands), b) < 0 {
+			break
+		}
+		keys := len(t.bands[b].offs) - 1
+		for c := 0; c < per; c++ {
+			tasks = append(tasks, task{b, c * keys / per, (c + 1) * keys / per})
+		}
+	}
+	return parallel.MapCtx(ctx, len(tasks), w, func(i int) []pair {
+		tk := tasks[i]
+		return t.joinBuckets(nil, tk.b, tk.lo, tk.hi, radius)
+	})
+}
+
+// joinBuckets appends to dst the pairs band b finds first among the
+// buckets keyed [lo, hi).
+func (t *bandTable) joinBuckets(dst []pair, b, lo, hi, radius int) []pair {
+	bd := &t.bands[b]
+	flip := flipBudget(radius, len(t.bands), b) > 0
+	for k := lo; k < hi; k++ {
+		at, end := bd.offs[k], bd.offs[k+1]
+		if at == end {
+			continue
+		}
+		bucket := t.hashes[at:end]
+		for x, hx := range bucket {
+			for y, hy := range bucket[x+1:] {
+				if d := hx ^ hy; Distance(d, 0) <= radius && t.firstBand(d, b, radius) {
+					dst = append(dst, pair{t.slots[at+x], t.slots[at+x+1+y]})
+				}
+			}
+		}
+		if !flip {
+			continue
+		}
+		for bit := 0; bit < bd.bits; bit++ {
+			k2 := k | 1<<bit
+			if k2 == k {
+				continue // the lower bucket of the two joins them
+			}
+			at2 := bd.offs[k2]
+			other := t.hashes[at2:bd.offs[k2+1]]
+			for x, hx := range bucket {
+				for y, hy := range other {
+					if d := hx ^ hy; Distance(d, 0) <= radius && t.firstBand(d, b, radius) {
+						dst = append(dst, pair{t.slots[at+x], t.slots[at2+y]})
+					}
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// firstBand reports whether b is the lowest band whose flip budget admits
+// two hashes differing in the bits of d.
+func (t *bandTable) firstBand(d Hash, b, radius int) bool {
+	for e := 0; e < b; e++ {
+		if Distance(Hash(t.bands[e].key(d)), 0) <= flipBudget(radius, len(t.bands), e) {
+			return false
+		}
+	}
+	return true
 }
 
 // appendWithin appends to dst the slot of every entry within radius of q,

@@ -67,6 +67,16 @@ func sealedIndex(hashes []Hash, ids []int64) *MultiIndex {
 	return m
 }
 
+// forEachLayout runs fn once with newBandTable forced to eight 8-bit bands
+// and once to the six wide ones.
+func forEachLayout(fn func()) {
+	defer func(old int) { wideCutover = old }(wideCutover)
+	for _, cutover := range []int{1 << 30, 0} {
+		wideCutover = cutover
+		fn()
+	}
+}
+
 // checkMultiIndex compares every query surface of a sealed index with the
 // linear-scan oracles for one (query, radius).
 func checkMultiIndex(t *testing.T, m *MultiIndex, hashes []Hash, ids []int64, q Hash, radius int, s *Scratch) {
@@ -86,26 +96,29 @@ func checkMultiIndex(t *testing.T, m *MultiIndex, hashes []Hash, ids []int64, q 
 }
 
 // TestMultiIndexMatchesLinearScan sweeps every radius over both corpus
-// shapes, so the banded regime (0-15), its crowded-neighbourhood fallback
-// and the linear regime (16-64) are all compared with the oracle.
+// shapes and both band layouts, so the banded regime (0-15 over eight bands,
+// 0-11 over six), its crowded-neighbourhood fallback and the linear regime
+// are all compared with the oracle.
 func TestMultiIndexMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	var s Scratch
-	for _, clustered := range []bool{false, true} {
-		for _, n := range []int{0, 1, 9, 400} {
-			hashes, ids := pairCorpus(rng, n, clustered)
-			m := sealedIndex(hashes, ids)
-			for radius := -1; radius <= MaxDistance; radius++ {
-				for trial := 0; trial < 4; trial++ {
-					q := Hash(rng.Uint64())
-					if n > 0 && trial > 0 {
-						q = perturb(rng, hashes[rng.Intn(n)], rng.Intn(2*trial+1))
+	forEachLayout(func() {
+		for _, clustered := range []bool{false, true} {
+			for _, n := range []int{0, 1, 9, 400} {
+				hashes, ids := pairCorpus(rng, n, clustered)
+				m := sealedIndex(hashes, ids)
+				for radius := -1; radius <= MaxDistance; radius++ {
+					for trial := 0; trial < 4; trial++ {
+						q := Hash(rng.Uint64())
+						if n > 0 && trial > 0 {
+							q = perturb(rng, hashes[rng.Intn(n)], rng.Intn(2*trial+1))
+						}
+						checkMultiIndex(t, m, hashes, ids, q, radius, &s)
 					}
-					checkMultiIndex(t, m, hashes, ids, q, radius, &s)
 				}
 			}
 		}
-	}
+	})
 }
 
 // FuzzNearestWithin drives the same comparison from the fuzzer: any corpus
@@ -124,14 +137,17 @@ func FuzzNearestWithin(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		hashes, ids := pairCorpus(rng, int(uint64(seed)%64)*5, clustered)
-		m := sealedIndex(hashes, ids)
-		var s Scratch
-		checkMultiIndex(t, m, hashes, ids, Hash(query), radius, &s)
+		near := Hash(query)
 		if len(hashes) > 0 {
 			// A query near a stored hash: the interesting case for ties.
-			q := perturb(rng, hashes[rng.Intn(len(hashes))], int(query%7))
-			checkMultiIndex(t, m, hashes, ids, q, radius, &s)
+			near = perturb(rng, hashes[rng.Intn(len(hashes))], int(query%7))
 		}
+		var s Scratch
+		forEachLayout(func() {
+			m := sealedIndex(hashes, ids)
+			checkMultiIndex(t, m, hashes, ids, Hash(query), radius, &s)
+			checkMultiIndex(t, m, hashes, ids, near, radius, &s)
+		})
 	})
 }
 

@@ -2,20 +2,18 @@ package phash
 
 import (
 	"context"
+	"slices"
 
 	"github.com/memes-pipeline/memes/internal/parallel"
 )
 
-// probeCutover is the corpus size from which the band table beats the
-// pairwise kernels: a probed row popcounts about n/16 entries at eps 8
-// against n/2 for the symmetric kernel, but pays for its probe set, its
-// row sort and its share of the table build, which small inputs do not
-// amortise. Measured on a sparse corpus (2-vCPU VM, eps 8): probing wins
-// from ~500 hashes at two workers and ~1,200 at one, and is 3.4x (one
-// worker) to 7x (two) ahead at 23,629. The choice only moves cost, never
-// results — both regimes are exact. A variable only so the equivalence
-// tests can force either regime.
-var probeCutover = 1 << 10
+// joinCutover is the corpus size from which NeighbourhoodsCtx joins the band
+// table with itself instead of popcounting every pair. Measured on meme-like
+// corpora (families of near-duplicates plus noise; 2-vCPU VM, one worker):
+// the join ties the pairwise kernel near 512 hashes, is 1.7–2.6× ahead at
+// 1,024 and 4–10× at 4,096. A variable only so the equivalence tests can
+// force either regime; both are exact, so the choice only moves cost.
+var joinCutover = 1 << 10
 
 // Neighbourhoods computes, for every input hash, the indexes of all hashes
 // within the given Hamming radius of it. It is NeighbourhoodsCtx without
@@ -31,78 +29,95 @@ func Neighbourhoods(hashes []Hash, radius, workers int) [][]int32 {
 // counterpart of MultiIndex.Radius — the paper's GPU pairwise comparison
 // step as one batch primitive — and the phase-one engine of DBSCAN.
 //
-// The scan runs on up to `workers` goroutines (<= 0 means GOMAXPROCS); the
-// output is identical for every worker count. Corpora past probeCutover
-// with a radius the bands can serve probe one shared band table, a row at a
-// time; everything else takes a pairwise kernel, which with one worker
-// exploits symmetry and computes each pair once.
+// The pairs within radius are found once each: corpora past joinCutover
+// with a radius the bands can serve join the band table with itself
+// (bandTable.selfJoin); everything else popcounts all n(n-1)/2 pairs. Either
+// way the work runs on up to `workers` goroutines (<= 0 means GOMAXPROCS),
+// and the rows are then built from the pairs in one arena and sorted, so the
+// output is identical for every worker count.
 //
-// Cancellation stops rows from being scheduled and returns (nil, ctx.Err());
+// Every row is capacity-capped: appending to one copies it instead of
+// overwriting the next, which callers that narrow or extend rows in place
+// rely on.
+//
+// Cancellation stops work from being scheduled and returns (nil, ctx.Err());
 // no goroutine outlives the call.
 func NeighbourhoodsCtx(ctx context.Context, hashes []Hash, radius, workers int) ([][]int32, error) {
 	n := len(hashes)
-	neigh := make([][]int32, n)
 	if n == 0 || radius < 0 {
-		return neigh, ctx.Err()
+		return make([][]int32, n), ctx.Err()
 	}
 	w := min(parallel.Workers(workers), n)
-	probing := n >= probeCutover && radius < mihLinearRadius
+	var pairs [][]pair
+	var err error
+	if n >= joinCutover && radius < linearRadius(len(bandWidths(n))) {
+		pairs, err = newBandTable(hashes).selfJoin(ctx, radius, w)
+	} else {
+		pairs, err = pairwiseJoin(ctx, hashes, radius, w)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rows(ctx, n, pairs, w)
+}
 
-	if !probing && w <= 1 {
-		// Symmetric serial kernel: each unordered pair is popcounted once
-		// and contributes to both endpoints' lists. Row i's list receives
-		// every j < i while those rows run, then i itself, then every
-		// j > i in ascending order — ascending overall, matching the
-		// chunked kernel bit for bit.
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			neigh[i] = append(neigh[i], int32(i))
+// pairwiseJoin returns every pair (i, j), i < j, within radius by
+// popcounting all of them, in contiguous chunks of i on up to w goroutines.
+func pairwiseJoin(ctx context.Context, hashes []Hash, radius, w int) ([][]pair, error) {
+	n := len(hashes)
+	chunk := parallel.ChunkSize(n, w)
+	return parallel.MapCtx(ctx, (n+chunk-1)/chunk, w, func(c int) []pair {
+		var dst []pair
+		for i := c * chunk; i < min(c*chunk+chunk, n); i++ {
 			hi := hashes[i]
-			for j := i + 1; j < n; j++ {
-				if Distance(hi, hashes[j]) <= radius {
-					neigh[i] = append(neigh[i], int32(j))
-					neigh[j] = append(neigh[j], int32(i))
+			for j, h := range hashes[i+1:] {
+				if Distance(hi, h) <= radius {
+					dst = append(dst, pair{int32(i), int32(i + 1 + j)})
 				}
 			}
 		}
-		return neigh, nil
-	}
-
-	// row appends row i's list to dst: a scan of all n columns, or a probe
-	// of the band table.
-	row := func(dst []int32, i int) []int32 {
-		hq := hashes[i]
-		for j, h := range hashes {
-			if Distance(hq, h) <= radius {
-				dst = append(dst, int32(j))
-			}
-		}
 		return dst
-	}
-	if probing {
-		t := newBandTable(hashes)
-		row = func(dst []int32, i int) []int32 { return t.appendWithin(dst, hashes[i], radius) }
-	}
+	})
+}
 
-	// Contiguous row chunks. Per-chunk arenas are sized once and reused
-	// across the chunk's rows, with every row's list carved out as a
-	// capacity-capped sub-slice, so allocations scale with chunks rather
-	// than points.
+// rows builds the n neighbourhood lists from the pairs within radius: one
+// count-then-fill arena holding, for each row, its own index and both ends'
+// partners, then a sort of each row on up to w goroutines.
+func rows(ctx context.Context, n int, pairs [][]pair, w int) ([][]int32, error) {
+	start := make([]int, n+1)
+	for i := range n {
+		start[i+1] = 1 // the row's own index
+	}
+	for _, ps := range pairs {
+		for _, p := range ps {
+			start[p.i+1]++
+			start[p.j+1]++
+		}
+	}
+	for i := range n {
+		start[i+1] += start[i]
+	}
+	arena := make([]int32, start[n])
+	next := slices.Clone(start[:n])
+	for i := range n {
+		arena[next[i]] = int32(i)
+		next[i]++
+	}
+	for _, ps := range pairs {
+		for _, p := range ps {
+			arena[next[p.i]] = p.j
+			next[p.i]++
+			arena[next[p.j]] = p.i
+			next[p.j]++
+		}
+	}
+	neigh := make([][]int32, n)
 	chunk := parallel.ChunkSize(n, w)
-	numChunks := (n + chunk - 1) / chunk
-	if err := parallel.ForCtx(ctx, numChunks, w, func(c int) {
-		lo := c * chunk
-		hi := min(lo+chunk, n)
-		arena := make([]int32, 0, (hi-lo)*8)
-		for i := lo; i < hi; i++ {
-			at := len(arena)
-			arena = row(arena, i)
-			// A mid-row growth leaves the row contiguous in the new
-			// backing array (append copies the pending prefix with it);
-			// earlier rows keep pointing into the retired arena.
-			neigh[i] = arena[at:len(arena):len(arena)]
+	if err := parallel.ForCtx(ctx, (n+chunk-1)/chunk, w, func(c int) {
+		for i := c * chunk; i < min(c*chunk+chunk, n); i++ {
+			row := arena[start[i]:start[i+1]:start[i+1]]
+			slices.Sort(row)
+			neigh[i] = row
 		}
 	}); err != nil {
 		return nil, err
@@ -148,8 +163,8 @@ func CrossNeighbourhoodsCtx(ctx context.Context, base, probes []Hash, radius, wo
 					arena = append(arena, int32(j))
 				}
 			}
-			// Capacity-capped like the kernel above: rows stay safe to
-			// extend by callers merging cross and in-batch lists.
+			// Capacity-capped like NeighbourhoodsCtx's rows: they stay safe
+			// to extend by callers merging cross and in-batch lists.
 			out[i] = arena[at:len(arena):len(arena)]
 		}
 	}); err != nil {

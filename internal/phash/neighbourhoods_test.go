@@ -2,6 +2,7 @@ package phash
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,45 +40,131 @@ func clusteredCorpus(rng *rand.Rand, n int) []Hash {
 	return out
 }
 
-// TestNeighbourhoodsMatchesBrute pins every regime — serial symmetric
-// kernel, chunked pairwise kernel, and band-table probing with its
-// crowded-row fallback — against the brute oracle, with probeCutover
-// forced to both sides of every corpus, across radii spanning the banded
-// regime (0-15) and the radii it declines (16 and up).
-func TestNeighbourhoodsMatchesBrute(t *testing.T) {
-	defer func(old int) { probeCutover = old }(probeCutover)
-	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{0, 1, 2, 37, 300} {
-		hashes := clusteredCorpus(rng, n)
-		if n == 300 {
-			// Sparse rows too: random hashes keep their probe sets small,
-			// so these rows stay banded where the clustered ones fall back.
-			for i := 0; i < n; i += 2 {
-				hashes[i] = Hash(rng.Uint64())
-			}
-		}
-		for _, radius := range []int{0, 2, 7, 8, 10, 15, 16, 64} {
-			want := bruteNeighbourhoods(hashes, radius)
-			for _, regime := range []struct {
-				label   string
-				cutover int
-			}{{"pairwise", n + 1}, {"probing", 0}} {
-				probeCutover = regime.cutover
-				for _, workers := range []int{1, 2, 8} {
-					got := Neighbourhoods(hashes, radius, workers)
-					if len(got) != len(want) {
-						t.Fatalf("n=%d r=%d %s w=%d: %d lists, want %d", n, radius, regime.label, workers, len(got), len(want))
-					}
-					for i := range want {
-						if !slices.Equal(got[i], want[i]) {
-							t.Fatalf("n=%d r=%d %s w=%d: list %d = %v, want %v",
-								n, radius, regime.label, workers, i, got[i], want[i])
-						}
-					}
-				}
+// crowdedCorpus mixes what a band table finds hardest: random hashes, exact
+// duplicates, a family of near-duplicates of one template, and a crowd that
+// shares its low 11 bits — one bucket of band 0 under either layout — while
+// differing everywhere else.
+func crowdedCorpus(rng *rand.Rand, n int) []Hash {
+	template := Hash(rng.Uint64())
+	crowd := Hash(rng.Uint64()) & 0x7ff
+	out := make([]Hash, n)
+	for i := range out {
+		switch rng.Intn(4) {
+		case 0:
+			out[i] = Hash(rng.Uint64())
+		case 1:
+			out[i] = perturb(rng, template, rng.Intn(12))
+		case 2:
+			out[i] = Hash(rng.Uint64())&^0x7ff | crowd
+		default:
+			out[i] = template
+			if i > 0 {
+				out[i] = out[rng.Intn(i)]
 			}
 		}
 	}
+	return out
+}
+
+// checkNeighbourhoods compares NeighbourhoodsCtx with the brute oracle at
+// each worker count, under the pairwise kernel and under the band-table
+// join over either layout, forced through the cutover variables. Every row
+// must be capacity-capped, and the join must emit each pair exactly once:
+// as many pairs as the oracle has non-self entries, halved.
+func checkNeighbourhoods(t *testing.T, hashes []Hash, radius int, workers ...int) {
+	t.Helper()
+	defer func(old int) { joinCutover = old }(joinCutover)
+	n := len(hashes)
+	want := bruteNeighbourhoods(hashes, radius)
+	entries := 0
+	for _, row := range want {
+		entries += len(row)
+	}
+	check := func(regime string, join bool) {
+		for _, w := range workers {
+			got, err := NeighbourhoodsCtx(context.Background(), hashes, radius, w)
+			if err != nil {
+				t.Fatalf("n=%d r=%d %s w=%d: %v", n, radius, regime, w, err)
+			}
+			if len(got) != n {
+				t.Fatalf("n=%d r=%d %s w=%d: %d lists, want %d", n, radius, regime, w, len(got), n)
+			}
+			for i := range want {
+				if !slices.Equal(got[i], want[i]) {
+					t.Fatalf("n=%d r=%d %s w=%d: list %d = %v, want %v", n, radius, regime, w, i, got[i], want[i])
+				}
+				if cap(got[i]) != len(got[i]) {
+					t.Fatalf("n=%d r=%d %s w=%d: list %d has capacity %d past its %d entries", n, radius, regime, w, i, cap(got[i]), len(got[i]))
+				}
+			}
+			if !join || n == 0 || radius >= linearRadius(len(bandWidths(n))) {
+				continue
+			}
+			parts, err := newBandTable(hashes).selfJoin(context.Background(), radius, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := make(map[pair]bool)
+			for _, ps := range parts {
+				for _, p := range ps {
+					if p.i > p.j {
+						p.i, p.j = p.j, p.i
+					}
+					if seen[p] {
+						t.Fatalf("n=%d r=%d %s w=%d: pair %v emitted twice", n, radius, regime, w, p)
+					}
+					seen[p] = true
+				}
+			}
+			if 2*len(seen) != entries-n {
+				t.Fatalf("n=%d r=%d %s w=%d: %d pairs emitted, the oracle has %d non-self entries", n, radius, regime, w, len(seen), entries-n)
+			}
+		}
+	}
+	joinCutover = n + 1
+	check("pairwise", false)
+	joinCutover = 0
+	forEachLayout(func() { check(fmt.Sprintf("join over %d bands", len(bandWidths(n))), true) })
+}
+
+// TestNeighbourhoodsMatchesBrute pins both regimes — the pairwise kernel and
+// the band-table join over either layout — against the brute oracle on
+// clustered, sparse, crowded-bucket and duplicate-heavy corpora, at radii on
+// both sides of each layout's linear radius (12 over six bands, 16 over
+// eight).
+func TestNeighbourhoodsMatchesBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 2, 37, 300} {
+		corpora := [][]Hash{clusteredCorpus(rng, n), crowdedCorpus(rng, n)}
+		if n == 300 {
+			// Sparse rows too: random hashes keep their buckets small.
+			sparse := clusteredCorpus(rng, n)
+			for i := 0; i < n; i += 2 {
+				sparse[i] = Hash(rng.Uint64())
+			}
+			corpora = append(corpora, sparse)
+		}
+		for _, hashes := range corpora {
+			for _, radius := range []int{0, 2, 7, 8, 10, 11, 12, 15, 16, 64} {
+				checkNeighbourhoods(t, hashes, radius, 1, 2, 8)
+			}
+		}
+	}
+}
+
+// FuzzNeighbourhoods drives checkNeighbourhoods from the fuzzer: any seed
+// and size of crowded-bucket corpus (duplicates included), any radius 0-64
+// and 1-8 workers, under every regime and layout.
+func FuzzNeighbourhoods(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint8(8), uint8(1))
+	f.Add(int64(2), uint16(40), uint8(10), uint8(2))
+	f.Add(int64(3), uint16(0), uint8(0), uint8(8))
+	f.Add(int64(4), uint16(129), uint8(11), uint8(3))
+	f.Add(int64(5), uint16(7), uint8(64), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, size uint16, radius, workers uint8) {
+		hashes := crowdedCorpus(rand.New(rand.NewSource(seed)), int(size%400))
+		checkNeighbourhoods(t, hashes, int(radius)%(MaxDistance+1), 1+int(workers)%8)
+	})
 }
 
 // TestNeighbourhoodsNegativeRadius: a negative radius yields empty lists

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/memes-pipeline/memes/internal/annotate"
 	"github.com/memes-pipeline/memes/internal/dataset"
@@ -277,6 +278,73 @@ func TestV2LoadUsesSerializedTree(t *testing.T) {
 	h := ds.Posts[0].PHash()
 	if allocs := testing.AllocsPerRun(100, func() { loaded.Match(h) }); allocs != 0 {
 		t.Errorf("default-strategy Match allocates %.1f per run, want 0", allocs)
+	}
+}
+
+// TestV2LoadWithoutAliasing forces the typed views' explicit-decode
+// fallback — the path a big-endian host or a misaligned buffer takes — and
+// requires the engine loaded through it to answer Match and Associate and to
+// re-save exactly as the zero-copy load does, under every strategy.
+func TestV2LoadWithoutAliasing(t *testing.T) {
+	b, ds, site := snapTestBuild(t)
+	ctx := context.Background()
+	var buf bytes.Buffer
+	if err := b.Save(&buf); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	snap := buf.Bytes()
+	defer func(old bool) { hostLittle = old }(hostLittle)
+
+	words := make([]uint64, 2)
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 16)
+	hostLittle = false
+	if &v2Hashes(raw, 2)[0] == (*phash.Hash)(unsafe.Pointer(&words[0])) {
+		t.Fatal("with hostLittle unset the hash view still aliases the file bytes")
+	}
+
+	for _, strategy := range index.Strategies() {
+		var loaded [2]*BuildResult
+		for i, little := range []bool{true, false} {
+			hostLittle = little
+			l, err := LoadBuild(bytes.NewReader(snap), site, ds, func(c *Config) { c.Index = strategy }, nil)
+			if err != nil {
+				t.Fatalf("%s, hostLittle=%v: LoadBuild: %v", strategy, little, err)
+			}
+			loaded[i] = l
+		}
+		aliased, decoded := loaded[0], loaded[1]
+		want, err := aliased.Associate(ctx, ds.Posts)
+		if err != nil {
+			t.Fatalf("%s: Associate: %v", strategy, err)
+		}
+		got, err := decoded.Associate(ctx, ds.Posts)
+		if err != nil {
+			t.Fatalf("%s: Associate (decoded): %v", strategy, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded load associates differently from the aliased one", strategy)
+		}
+		for i := 0; i < len(ds.Posts); i += 7 {
+			if !ds.Posts[i].HasImage {
+				continue
+			}
+			h := ds.Posts[i].PHash()
+			gm, gok := decoded.Match(h)
+			wm, wok := aliased.Match(h)
+			if gok != wok || gm != wm {
+				t.Fatalf("%s: Match(%#x) = (%v,%v) decoded, (%v,%v) aliased", strategy, h, gm, gok, wm, wok)
+			}
+		}
+		var a, d bytes.Buffer
+		if err := aliased.Save(&a); err != nil {
+			t.Fatalf("%s: Save: %v", strategy, err)
+		}
+		if err := decoded.Save(&d); err != nil {
+			t.Fatalf("%s: Save (decoded): %v", strategy, err)
+		}
+		if !bytes.Equal(d.Bytes(), a.Bytes()) {
+			t.Errorf("%s: decoded load re-saves different bytes from the aliased one", strategy)
+		}
 	}
 }
 
