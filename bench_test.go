@@ -252,11 +252,9 @@ func BenchmarkFigure6_FrogDendrogram(b *testing.B) {
 
 func BenchmarkFigure7_ClusterGraph(b *testing.B) {
 	st := getBench(b)
-	cfg := analysis.DefaultClusterGraphConfig()
-	cfg.Layout = false // layout timing is covered by the ablation below
 	var purity float64
 	for i := 0; i < b.N; i++ {
-		g, err := analysis.BuildClusterGraph(st.res, st.met, cfg)
+		g, err := analysis.BuildClusterGraph(st.res, st.met, analysis.DefaultClusterGraphConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -800,11 +798,9 @@ func BenchmarkAblation_IndexVsBrute(b *testing.B) {
 func BenchmarkAblation_MetricWeights(b *testing.B) {
 	st := getBench(b)
 	run := func(b *testing.B, m *distance.Metric) {
-		cfg := analysis.DefaultClusterGraphConfig()
-		cfg.Layout = false
 		var purity float64
 		for i := 0; i < b.N; i++ {
-			g, err := analysis.BuildClusterGraph(st.res, m, cfg)
+			g, err := analysis.BuildClusterGraph(st.res, m, analysis.DefaultClusterGraphConfig())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -836,7 +832,6 @@ func BenchmarkAblation_GraphThreshold(b *testing.B) {
 		b.Run(fmt.Sprintf("kappa_%0.2f", kappa), func(b *testing.B) {
 			cfg := analysis.DefaultClusterGraphConfig()
 			cfg.Kappa = kappa
-			cfg.Layout = false
 			var edges int
 			for i := 0; i < b.N; i++ {
 				g, err := analysis.BuildClusterGraph(st.res, st.met, cfg)

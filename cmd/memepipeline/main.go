@@ -130,7 +130,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("building metric: %v", err)
 		}
-		g, err := analysis.BuildClusterGraph(res, metric, analysis.DefaultClusterGraphConfig())
+		cfg := analysis.DefaultClusterGraphConfig()
+		cfg.Layout = true // the exported JSON carries node coordinates
+		g, err := analysis.BuildClusterGraph(res, metric, cfg)
 		if err != nil {
 			log.Fatalf("building cluster graph: %v", err)
 		}

@@ -48,7 +48,9 @@ func main() {
 	fmt.Println("  sample leaves:", dend.Leaves[:min(6, len(dend.Leaves))])
 
 	// Figure 7: the cluster graph at distance threshold 0.45.
-	g, err := analysis.BuildClusterGraph(res, metric, analysis.DefaultClusterGraphConfig())
+	cfg := analysis.DefaultClusterGraphConfig()
+	cfg.Layout = true // lay the graph out as Figure 7 draws it
+	g, err := analysis.BuildClusterGraph(res, metric, cfg)
 	if err != nil {
 		log.Fatalf("building graph: %v", err)
 	}

@@ -224,20 +224,22 @@ type ClusterGraphConfig struct {
 	Kappa float64
 	// MinDegree filters out nodes with fewer connections.
 	MinDegree int
-	// Layout enables force-directed layout of the filtered graph.
+	// Layout enables force-directed layout of the filtered graph, for
+	// callers that export node coordinates.
 	Layout bool
 }
 
 // DefaultClusterGraphConfig mirrors the paper: kappa=0.45, degree >= 10.
 // The degree filter is lowered to 2 here because the synthetic corpus has
-// hundreds rather than tens of thousands of clusters.
+// hundreds rather than tens of thousands of clusters. It computes no
+// layout; a caller that draws the graph sets Layout.
 func DefaultClusterGraphConfig() ClusterGraphConfig {
-	return ClusterGraphConfig{Kappa: graphviz.DefaultKappa, MinDegree: 2, Layout: true}
+	return ClusterGraphConfig{Kappa: graphviz.DefaultKappa, MinDegree: 2}
 }
 
 // BuildClusterGraph computes Figure 7: the graph over annotated cluster
-// medoids with edges below the distance threshold, degree-filtered and laid
-// out.
+// medoids with edges below the distance threshold, degree-filtered and, if
+// cfg.Layout is set, laid out.
 func BuildClusterGraph(res *pipeline.Result, metric *distance.Metric, cfg ClusterGraphConfig) (*graphviz.Graph, error) {
 	if metric == nil {
 		return nil, errors.New("analysis: nil metric")
@@ -355,7 +357,8 @@ func TemporalSeries(res *pipeline.Result, group MemeGroup) map[string]Series {
 		}
 		return d
 	}
-	for _, p := range res.Dataset.Posts {
+	for i := range res.Dataset.Posts {
+		p := &res.Dataset.Posts[i]
 		totalPosts[p.Community][dayOf(p.Timestamp)]++
 	}
 	for _, a := range res.Associations {
@@ -363,7 +366,7 @@ func TemporalSeries(res *pipeline.Result, group MemeGroup) map[string]Series {
 		if !inGroup(c, group) {
 			continue
 		}
-		p := res.Dataset.Posts[a.PostIndex]
+		p := &res.Dataset.Posts[a.PostIndex]
 		memePosts[p.Community][dayOf(p.Timestamp)]++
 	}
 	// Aggregate counts per platform (The Donald folds into Reddit, like the
@@ -417,7 +420,7 @@ func ComputeScoreCDFs(res *pipeline.Result) (ScoreCDFs, error) {
 	}
 	scores := map[string]map[MemeGroup][]float64{"Reddit": {}, "Gab": {}}
 	for _, a := range res.Associations {
-		p := res.Dataset.Posts[a.PostIndex]
+		p := &res.Dataset.Posts[a.PostIndex]
 		var platform string
 		switch p.Community {
 		case dataset.Reddit, dataset.TheDonald:

@@ -74,7 +74,7 @@ func eventsByMeme(res *pipeline.Result, group MemeGroup) map[string][]hawkes.Eve
 		if !inGroup(c, group) {
 			continue
 		}
-		p := res.Dataset.Posts[a.PostIndex]
+		p := &res.Dataset.Posts[a.PostIndex]
 		t := p.Timestamp.Sub(res.Dataset.Start).Hours() / 24
 		key := memeKey(res, a)
 		out[key] = append(out[key], hawkes.Event{Time: t, Process: int(p.Community)})
@@ -88,14 +88,25 @@ func eventsByMeme(res *pipeline.Result, group MemeGroup) map[string][]hawkes.Eve
 // per cluster while a meme is a KYM entry, so one entry's series can differ
 // between groups; where a group holds all of an entry's clusters the series
 // is the all-memes one and its fit is reused.
+//
+// A series is fitted once however many callers want it at the same time:
+// the first caller fits, and the others wait for its answer. A fit that
+// fails or is cancelled leaves nothing behind, so a later call fits again.
 type fitCache struct {
 	mu     sync.Mutex
-	atts   map[string]*hawkes.Attribution
+	calls  map[string]*fitCall
 	fitted int // series fitted and stored
-	reused int // series answered from atts
+	reused int // series answered from calls
 }
 
-func newFitCache() *fitCache { return &fitCache{atts: map[string]*hawkes.Attribution{}} }
+// fitCall is one series' fit: done is closed once att and err are set.
+type fitCall struct {
+	done chan struct{}
+	att  *hawkes.Attribution
+	err  error
+}
+
+func newFitCache() *fitCache { return &fitCache{calls: map[string]*fitCall{}} }
 
 // seriesKey spells an event series out as a map key.
 func seriesKey(events []hawkes.Event) string {
@@ -108,37 +119,66 @@ func seriesKey(events []hawkes.Event) string {
 }
 
 // attribution fits one Hawkes model to the series and attributes every event
-// to a root-cause community, or returns what an earlier call stored for the
-// same series. The result is shared: callers must not modify it.
+// to a root-cause community, or returns what an earlier or concurrent call
+// computed for the same series. The result is shared: callers must not
+// modify it.
 func (c *fitCache) attribution(ctx context.Context, events []hawkes.Event, cfg hawkes.FitConfig) (*hawkes.Attribution, error) {
 	key := seriesKey(events)
-	c.mu.Lock()
-	att, ok := c.atts[key]
-	if ok {
-		c.reused++
+	for {
+		c.mu.Lock()
+		call, ok := c.calls[key]
+		if !ok {
+			call = &fitCall{done: make(chan struct{})}
+			c.calls[key] = call
+			c.mu.Unlock()
+			return c.fit(ctx, key, call, events, cfg)
+		}
+		c.mu.Unlock()
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if call.err == nil {
+			c.mu.Lock()
+			c.reused++
+			c.mu.Unlock()
+			return call.att, nil
+		}
+		// The fit this call waited for failed under its own caller's ctx and
+		// is gone from the map: try again under ours.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	c.mu.Unlock()
-	if ok {
-		return att, nil
-	}
+}
+
+// fit runs the call that attribution registered under key.
+func (c *fitCache) fit(ctx context.Context, key string, call *fitCall, events []hawkes.Event, cfg hawkes.FitConfig) (*hawkes.Attribution, error) {
+	defer close(call.done)
 	fit, err := hawkes.FitCtx(ctx, events, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("fitting: %w", err)
-	}
-	if att, err = hawkes.Attribute(fit); err != nil {
-		return nil, fmt.Errorf("attributing: %w", err)
+		call.err = fmt.Errorf("fitting: %w", err)
+	} else if att, err := hawkes.Attribute(fit); err != nil {
+		call.err = fmt.Errorf("attributing: %w", err)
+	} else {
+		call.att = att
 	}
 	c.mu.Lock()
-	c.atts[key] = att
-	c.fitted++
+	if call.err != nil {
+		delete(c.calls, key)
+	} else {
+		c.fitted++
+	}
 	c.mu.Unlock()
-	return att, nil
+	return call.att, call.err
 }
 
 // fitGroupCtx fits one Hawkes model per meme (as the paper does for each of
 // its 12.6K clusters), attributes every event to a root-cause community, and
 // aggregates the per-meme attributions into the group's influence matrices
-// and the per-event attribution samples used for KS testing.
+// and, when keepSamples is set, the per-event attribution samples used for
+// KS testing: samples[src][dst] holds one mass per event on dst.
 //
 // The fits run concurrently (each is a self-contained EM loop, or a lookup
 // in cache), but the aggregation folds them serially in sorted meme-key
@@ -146,7 +186,7 @@ func (c *fitCache) attribution(ctx context.Context, events []hawkes.Event, cfg h
 // order is what makes the matrices bitwise-identical across worker counts
 // and between the offline and served paths. Fits that finished before ctx
 // was cancelled stay in cache for a later call.
-func fitGroupCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg InfluenceConfig, cache *fitCache) (*InfluenceResult, *groupAttribution, error) {
+func fitGroupCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg InfluenceConfig, cache *fitCache, keepSamples bool) (*InfluenceResult, [][][]float64, error) {
 	if cfg.Omega <= 0 || cfg.MaxIter <= 0 {
 		return nil, nil, errors.New("analysis: invalid influence configuration")
 	}
@@ -184,6 +224,15 @@ func fitGroupCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg
 
 	// Fold phase: serial, in sorted key order.
 	agg := newGroupAttribution(k)
+	if keepSamples {
+		perDst := make([]int, k)
+		for _, key := range keys {
+			for _, e := range byMeme[key] {
+				perDst[e.Process]++
+			}
+		}
+		agg.reserveSamples(perDst)
+	}
 	for i, key := range keys {
 		att := atts[i]
 		if att == nil {
@@ -226,7 +275,7 @@ func fitGroupCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg
 		TotalExternal: externalInfluence(norm),
 		Total:         totalInfluence(norm),
 	}
-	return summary, agg, nil
+	return summary, agg.samples, nil
 }
 
 // groupAttribution accumulates attribution mass across per-meme fits.
@@ -236,7 +285,7 @@ type groupAttribution struct {
 	destTotals []float64
 	srcTotals  []float64
 	// samples[src][dst] holds the per-event attribution masses, used by the
-	// KS comparisons of Figures 13-16.
+	// KS comparisons of Figures 13-16; nil unless reserveSamples was called.
 	samples [][][]float64
 }
 
@@ -246,13 +295,30 @@ func newGroupAttribution(k int) *groupAttribution {
 		attributed: make([][]float64, k),
 		destTotals: make([]float64, k),
 		srcTotals:  make([]float64, k),
-		samples:    make([][][]float64, k),
 	}
 	for i := 0; i < k; i++ {
 		g.attributed[i] = make([]float64, k)
-		g.samples[i] = make([][]float64, k)
 	}
 	return g
+}
+
+// reserveSamples turns sample collection on, with every samples[src][dst]
+// cut from one backing array to hold perDst[dst] masses.
+func (g *groupAttribution) reserveSamples(perDst []int) {
+	total := 0
+	for _, n := range perDst {
+		total += n
+	}
+	backing := make([]float64, g.k*total)
+	g.samples = make([][][]float64, g.k)
+	off := 0
+	for src := range g.samples {
+		g.samples[src] = make([][]float64, g.k)
+		for dst, n := range perDst {
+			g.samples[src][dst] = backing[off : off : off+n]
+			off += n
+		}
+	}
 }
 
 func (g *groupAttribution) add(src, dst int, mass float64) {
@@ -260,7 +326,9 @@ func (g *groupAttribution) add(src, dst int, mass float64) {
 }
 
 func (g *groupAttribution) addSample(src, dst int, mass float64) {
-	g.samples[src][dst] = append(g.samples[src][dst], mass)
+	if g.samples != nil {
+		g.samples[src][dst] = append(g.samples[src][dst], mass)
+	}
 }
 
 func (g *groupAttribution) eventCounts() []int {
@@ -336,7 +404,7 @@ func EstimateInfluence(res *pipeline.Result, group MemeGroup, cfg InfluenceConfi
 // result, group, and configuration it returns bitwise-identical matrices to
 // EstimateInfluence, for any worker count — the serving layer's contract.
 func EstimateInfluenceCtx(ctx context.Context, res *pipeline.Result, group MemeGroup, cfg InfluenceConfig) (*InfluenceResult, error) {
-	summary, _, err := fitGroupCtx(ctx, res, group, cfg, newFitCache())
+	summary, _, err := fitGroupCtx(ctx, res, group, cfg, newFitCache(), false)
 	return summary, err
 }
 
@@ -366,11 +434,11 @@ func CompareGroupsCtx(ctx context.Context, res *pipeline.Result, group, compleme
 }
 
 func compareGroups(ctx context.Context, res *pipeline.Result, group, complement MemeGroup, cfg InfluenceConfig, cache *fitCache) (*GroupComparison, error) {
-	g, gAtt, err := fitGroupCtx(ctx, res, group, cfg, cache)
+	g, gSamples, err := fitGroupCtx(ctx, res, group, cfg, cache, true)
 	if err != nil {
 		return nil, err
 	}
-	c, cAtt, err := fitGroupCtx(ctx, res, complement, cfg, cache)
+	c, cSamples, err := fitGroupCtx(ctx, res, complement, cfg, cache, true)
 	if err != nil {
 		return nil, err
 	}
@@ -379,12 +447,15 @@ func compareGroups(ctx context.Context, res *pipeline.Result, group, complement 
 	for src := 0; src < k; src++ {
 		sig[src] = make([]bool, k)
 		for dst := 0; dst < k; dst++ {
-			a := gAtt.samples[src][dst]
-			b := cAtt.samples[src][dst]
+			a := gSamples[src][dst]
+			b := cSamples[src][dst]
 			if len(a) < 5 || len(b) < 5 {
 				continue
 			}
-			ks, err := stats.KSTest(a, b)
+			// The samples are this call's own: sort them where they lie.
+			sort.Float64s(a)
+			sort.Float64s(b)
+			ks, err := stats.KSTestSorted(a, b)
 			if err != nil {
 				continue
 			}

@@ -5,9 +5,15 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/memes-pipeline/memes/internal/dataset"
+	"github.com/memes-pipeline/memes/internal/hawkes"
+	"github.com/memes-pipeline/memes/internal/pipeline"
 )
 
 var allGroups = []MemeGroup{AllMemes, RacistMemes, NonRacistMemes, PoliticalMemes, NonPoliticalMemes}
@@ -119,7 +125,7 @@ func TestFitCacheMatchesUncachedFits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := fitGroupCtx(context.Background(), res, g, cfg, cache)
+		got, _, err := fitGroupCtx(context.Background(), res, g, cfg, cache, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +164,7 @@ func TestFitCacheSurvivesCancellation(t *testing.T) {
 	probe := &countdownCtx{Context: context.Background()}
 	probe.left.Store(budget)
 	whole := newFitCache()
-	if _, _, err := fitGroupCtx(probe, &serial, AllMemes, cfg, whole); err != nil {
+	if _, _, err := fitGroupCtx(probe, &serial, AllMemes, cfg, whole, false); err != nil {
 		t.Fatal(err)
 	}
 	calls := budget - probe.left.Load()
@@ -166,7 +172,7 @@ func TestFitCacheSurvivesCancellation(t *testing.T) {
 	cache := newFitCache()
 	ctx := &countdownCtx{Context: context.Background()}
 	ctx.left.Store(calls / 2)
-	if _, _, err := fitGroupCtx(ctx, &serial, AllMemes, cfg, cache); !errors.Is(err, context.Canceled) {
+	if _, _, err := fitGroupCtx(ctx, &serial, AllMemes, cfg, cache, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled mid-fit: err = %v, want context.Canceled", err)
 	}
 	partial := cache.fitted
@@ -174,7 +180,7 @@ func TestFitCacheSurvivesCancellation(t *testing.T) {
 		t.Fatalf("cancelled pass stored %d of %d fits, want some but not all", partial, whole.fitted)
 	}
 
-	got, _, err := fitGroupCtx(context.Background(), &serial, AllMemes, cfg, cache)
+	got, _, err := fitGroupCtx(context.Background(), &serial, AllMemes, cfg, cache, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,5 +229,225 @@ func TestReportSharedAcrossGoroutines(t *testing.T) {
 		if got[i] != want {
 			t.Errorf("section %d rendered concurrently:\n%s\nwant:\n%s", i, got[i], want)
 		}
+	}
+}
+
+// withWorkers returns a copy of res whose stages, the report's sections
+// among them, fan out on workers goroutines.
+func withWorkers(res *pipeline.Result, workers int) *pipeline.Result {
+	cp := *res
+	cp.Config.Workers = workers
+	return &cp
+}
+
+// TestReportConcurrentMatchesSerial: the sections rendered concurrently are
+// the ones each renderer gives when called alone, in paper order, and the
+// report text is the same bytes at every worker count.
+func TestReportConcurrentMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report is slow; skipped in -short mode")
+	}
+	res := getRun(t)
+	one, err := NewReport(withWorkers(res, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Section
+	for _, s := range one.sectionList() {
+		text, err := s.render(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, Section{Title: s.title, Body: text})
+	}
+	var text string
+	for _, workers := range []int{1, 2, 8} {
+		r, err := NewReport(withWorkers(res, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.Sections()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: sections differ from rendering them one by one", workers)
+		}
+		fresh, err := NewReport(withWorkers(res, workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := fresh.RenderAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			text = all
+		} else if all != text {
+			t.Errorf("workers=%d: RenderAll differs from workers=1", workers)
+		}
+	}
+}
+
+// TestConcurrentReportFitsOnce: however the sections interleave, and with
+// two goroutines rendering one Report at once, every distinct series is
+// fitted once and /pol/ is swept once. Repeated, so a double fit that
+// needs an unlucky schedule still has chances to show.
+func TestConcurrentReportFitsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full reports are slow; skipped in -short mode")
+	}
+	res := withWorkers(getRun(t), 8)
+	cfg := DefaultInfluenceConfig()
+	distinct := map[string]bool{}
+	fittable := 0
+	for _, g := range allGroups {
+		for _, events := range eventsByMeme(res, g) {
+			if len(events) >= cfg.MinEventsPerFit {
+				fittable++
+				distinct[seriesKey(events)] = true
+			}
+		}
+	}
+	for rep := 0; rep < 20; rep++ {
+		r, err := NewReport(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweeps := sweepsRun.Load()
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = r.Sections()
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r.fits.fitted != len(distinct) || r.fits.reused != 2*fittable-len(distinct) {
+			t.Fatalf("rep %d: fits run/reused = %d/%d, want %d/%d", rep, r.fits.fitted, r.fits.reused, len(distinct), 2*fittable-len(distinct))
+		}
+		if got := sweepsRun.Load() - sweeps; got != 1 {
+			t.Fatalf("rep %d: %d neighbourhood scans, want 1", rep, got)
+		}
+	}
+}
+
+// tripCtx is cancelled by its (left+1)-th Err call: a cancel that lands
+// part-way through a report, seen by Err and Done alike.
+type tripCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func (c *tripCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestReportCancelledMidway: a report whose context is cancelled while its
+// sections run returns context.Canceled and leaves no goroutine behind.
+func TestReportCancelledMidway(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report is slow; skipped in -short mode")
+	}
+	res := withWorkers(getRun(t), 8)
+	const budget = 1 << 40
+	probe := &tripCtx{Context: context.Background(), cancel: func() {}}
+	probe.left.Store(budget)
+	r, err := NewReport(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.SectionsCtx(probe); err != nil {
+		t.Fatal(err)
+	}
+	calls := budget - probe.left.Load()
+
+	baseline := runtime.NumGoroutine()
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &tripCtx{Context: inner, cancel: cancel}
+	ctx.left.Store(calls / 2)
+	r, err = NewReport(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.SectionsCtx(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled mid-report: err = %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled report, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFitCacheSingleFlight: callers that ask for one series at once share
+// one fit, and a fit whose caller is cancelled leaves the series to the
+// next caller instead of failing it.
+func TestFitCacheSingleFlight(t *testing.T) {
+	res := getRun(t)
+	cfg := DefaultInfluenceConfig()
+	var events []hawkes.Event
+	for _, ev := range eventsByMeme(res, AllMemes) {
+		if len(ev) > len(events) {
+			events = ev
+		}
+	}
+	horizon := res.Dataset.End.Sub(res.Dataset.Start).Hours()/24 + 1
+	fitCfg := hawkes.DefaultFitConfig(dataset.NumCommunities, horizon)
+	fitCfg.Omega, fitCfg.MaxIter = cfg.Omega, cfg.MaxIter
+
+	cache := newFitCache()
+	const callers = 8
+	atts := make([]*hawkes.Attribution, callers)
+	var wg sync.WaitGroup
+	for i := range atts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if atts[i], err = cache.attribution(context.Background(), events, fitCfg); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if cache.fitted != 1 || cache.reused != callers-1 {
+		t.Fatalf("fits run/reused = %d/%d, want 1/%d", cache.fitted, cache.reused, callers-1)
+	}
+	for _, att := range atts[1:] {
+		if att != atts[0] {
+			t.Fatal("concurrent callers got different attributions")
+		}
+	}
+
+	cache = newFitCache()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cache.attribution(cancelled, events, fitCfg); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled fit: err = %v, want context.Canceled", err)
+	}
+	if len(cache.calls) != 0 {
+		t.Fatal("a cancelled fit stayed in the cache")
+	}
+	att, err := cache.attribution(context.Background(), events, fitCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.fitted != 1 || !reflect.DeepEqual(att, atts[0]) {
+		t.Fatal("the fit after a cancelled one differs from an uncontended fit")
 	}
 }

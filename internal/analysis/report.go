@@ -12,6 +12,7 @@ import (
 	"github.com/memes-pipeline/memes/internal/cluster"
 	"github.com/memes-pipeline/memes/internal/dataset"
 	"github.com/memes-pipeline/memes/internal/distance"
+	"github.com/memes-pipeline/memes/internal/parallel"
 	"github.com/memes-pipeline/memes/internal/pipeline"
 	"github.com/memes-pipeline/memes/internal/screenshot"
 )
@@ -106,11 +107,35 @@ func noCtx(f func() (string, error)) func(context.Context) (string, error) {
 // through to every EM iteration. The served /v1/report endpoint uses this
 // so an abandoned request stops burning CPU mid-fit. Output is identical to
 // Sections for an uncancelled ctx.
+//
+// The sections are independent of each other, so they render concurrently
+// on the result's worker pool (Config.Workers), started in paper order. A
+// section's text lands in its own slot, so the output is the same bytes at
+// every worker count; inputs two sections share (the Hawkes fits, the /pol/
+// sweep, Figures 10 and 19) are computed by whichever asks first while the
+// others wait for it. On failure the error is that of the first failing
+// section in paper order, or ctx's own.
 func (r *Report) SectionsCtx(ctx context.Context) ([]Section, error) {
-	sections := []struct {
-		title  string
-		render func(context.Context) (string, error)
-	}{
+	sections := r.sectionList()
+	return parallel.MapErrCtx(ctx, len(sections), r.res.Config.Workers, func(i int) (Section, error) {
+		s := sections[i]
+		text, err := s.render(ctx)
+		if err != nil {
+			return Section{}, fmt.Errorf("rendering %q: %w", s.title, err)
+		}
+		return Section{Title: s.title, Body: text}, nil
+	})
+}
+
+// reportSection is one entry of the report: a paper title and its renderer.
+type reportSection struct {
+	title  string
+	render func(context.Context) (string, error)
+}
+
+// sectionList returns the report's sections in paper order.
+func (r *Report) sectionList() []reportSection {
+	return []reportSection{
 		{"Table 1: dataset overview", noCtx(r.RenderTable1)},
 		{"Table 2: clustering statistics", noCtx(r.RenderTable2)},
 		{"Table 3: top KYM entries per fringe community (by clusters)", noCtx(r.RenderTable3)},
@@ -135,18 +160,6 @@ func (r *Report) SectionsCtx(ctx context.Context) ([]Section, error) {
 		{"Figure 19: screenshot classifier ROC", noCtx(r.RenderFigure19)},
 		{"Appendix B: annotation quality", noCtx(r.RenderAppendixB)},
 	}
-	out := make([]Section, 0, len(sections))
-	for _, s := range sections {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		text, err := s.render(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("rendering %q: %w", s.title, err)
-		}
-		out = append(out, Section{Title: s.title, Body: text})
-	}
-	return out, nil
 }
 
 // RenderAll produces the full paper report: every table and figure in order,
@@ -515,7 +528,7 @@ func (r *Report) RenderInfluenceAll() (string, error) {
 }
 
 func (r *Report) renderInfluenceAllCtx(ctx context.Context) (string, error) {
-	inf, _, err := fitGroupCtx(ctx, r.res, AllMemes, r.infCfg, r.fits)
+	inf, _, err := fitGroupCtx(ctx, r.res, AllMemes, r.infCfg, r.fits, false)
 	if err != nil {
 		return "", err
 	}

@@ -139,7 +139,7 @@ func topEntriesByPosts(res *pipeline.Result, topN int, filter func(*annotate.Ent
 		if rep == nil {
 			continue
 		}
-		post := res.Dataset.Posts[a.PostIndex]
+		post := &res.Dataset.Posts[a.PostIndex]
 		comm := post.Community
 		totals[comm]++
 		if !filter(rep) {
@@ -223,7 +223,7 @@ func TopSubreddits(res *pipeline.Result, topN int) SubredditGroups {
 	politics := map[string]int{}
 	var allTotal, racistTotal, politicsTotal int
 	for _, a := range res.Associations {
-		post := res.Dataset.Posts[a.PostIndex]
+		post := &res.Dataset.Posts[a.PostIndex]
 		if post.Community != dataset.Reddit && post.Community != dataset.TheDonald {
 			continue
 		}
@@ -312,7 +312,8 @@ type polImages struct {
 func distinctPolImages(ds *dataset.Dataset) (*polImages, error) {
 	t := &polImages{}
 	index := map[phash.Hash]int32{}
-	for _, p := range ds.Posts {
+	for i := range ds.Posts {
+		p := &ds.Posts[i]
 		if !p.HasImage || p.Community != dataset.Pol {
 			continue
 		}

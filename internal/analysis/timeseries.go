@@ -56,7 +56,8 @@ func TimeSeries(res *pipeline.Result, group MemeGroup) []TimeSeriesRow {
 	for i, c := range comms {
 		commIndex[c] = i
 	}
-	for _, p := range res.Dataset.Posts {
+	for i := range res.Dataset.Posts {
+		p := &res.Dataset.Posts[i]
 		posts[commIndex[p.Community]][dayOf(p.Timestamp)]++
 	}
 	for _, a := range res.Associations {
@@ -64,7 +65,7 @@ func TimeSeries(res *pipeline.Result, group MemeGroup) []TimeSeriesRow {
 		if !inGroup(c, group) {
 			continue
 		}
-		p := res.Dataset.Posts[a.PostIndex]
+		p := &res.Dataset.Posts[a.PostIndex]
 		memes[commIndex[p.Community]][dayOf(p.Timestamp)]++
 	}
 

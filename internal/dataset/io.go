@@ -184,7 +184,8 @@ func (d *Dataset) PlatformStats() []Stats {
 	for comm, total := range d.PostTotals {
 		byPlatform[comm.Platform()].posts += total
 	}
-	for _, post := range d.Posts {
+	for i := range d.Posts {
+		post := &d.Posts[i]
 		a := byPlatform[post.Community.Platform()]
 		if post.HasImage {
 			a.withImages++

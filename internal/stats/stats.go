@@ -172,16 +172,22 @@ type KSResult struct {
 }
 
 // KSTest performs a two-sample Kolmogorov-Smirnov test comparing samples a
-// and b, using the asymptotic Kolmogorov distribution for the p-value.
+// and b, using the asymptotic Kolmogorov distribution for the p-value. It
+// sorts copies and leaves a and b as they are.
 func KSTest(a, b []float64) (KSResult, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return KSResult{}, ErrEmpty
-	}
 	as := append([]float64(nil), a...)
 	bs := append([]float64(nil), b...)
 	sort.Float64s(as)
 	sort.Float64s(bs)
+	return KSTestSorted(as, bs)
+}
 
+// KSTestSorted is KSTest over samples already sorted in ascending order,
+// for callers that own their samples and can sort them in place.
+func KSTestSorted(as, bs []float64) (KSResult, error) {
+	if len(as) == 0 || len(bs) == 0 {
+		return KSResult{}, ErrEmpty
+	}
 	d := 0.0
 	i, j := 0, 0
 	na, nb := float64(len(as)), float64(len(bs))

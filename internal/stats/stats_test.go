@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -153,6 +155,40 @@ func TestKSTestDifferentDistributions(t *testing.T) {
 	}
 	if res.Statistic < 0.5 {
 		t.Fatalf("expected large KS statistic, got %v", res.Statistic)
+	}
+}
+
+// TestKSTestSortedKernel: KSTest leaves its inputs unsorted and answers what
+// the sorted-input kernel answers on sorted copies.
+func TestKSTestSortedKernel(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := make([]float64, 200)
+	b := make([]float64, 150)
+	for i := range a {
+		a[i] = rng.NormFloat64()
+	}
+	for i := range b {
+		b[i] = rng.NormFloat64() + 0.3
+	}
+	a0, b0 := append([]float64(nil), a...), append([]float64(nil), b...)
+	got, err := KSTest(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
+		t.Fatal("KSTest modified its inputs")
+	}
+	sort.Float64s(a)
+	sort.Float64s(b)
+	want, err := KSTestSorted(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("KSTest = %+v, KSTestSorted on sorted copies = %+v", got, want)
+	}
+	if _, err := KSTestSorted(nil, b); err != ErrEmpty {
+		t.Fatalf("empty sample: err = %v, want ErrEmpty", err)
 	}
 }
 
