@@ -18,7 +18,7 @@ var testDiags = []lint.Diagnostic{
 	},
 	{
 		Analyzer: "ctxflow",
-		Pos:      token.Position{Filename: "internal/server/batcher.go", Line: 7, Column: 1},
+		Pos:      token.Position{Filename: "internal/server/server.go", Line: 7, Column: 1},
 		Message:  "naked go statement outside internal/parallel",
 	},
 }

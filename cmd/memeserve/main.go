@@ -9,7 +9,7 @@
 // Usage:
 //
 //	memeserve -load engine.snap -in ./corpus [-addr :8080] [-index bktree|multiindex|sharded]
-//	          [-workers N] [-max-batch 256] [-drain 10s]
+//	          [-workers N] [-drain 10s]
 //	          [-ingest-threshold N] [-delta-dir ./deltas] [-compact-after N]
 //	          [-read-header-timeout 5s] [-read-timeout 60s] [-write-timeout 60s]
 //	          [-idle-timeout 120s] [-request-timeout 30s] [-max-inflight 1024]
@@ -84,7 +84,6 @@ func main() {
 	in := flag.String("in", "corpus", "corpus directory providing the annotation site the snapshot was built against")
 	indexStrategy := flag.String("index", "", "medoid index strategy (empty = multiindex, the default): "+strategyList())
 	workers := flag.Int("workers", 0, "worker pool bound for query fan-out (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("max-batch", server.DefaultMaxBatch, "max concurrent /v1/match lookups coalesced into one fan-out")
 	drain := flag.Duration("drain", 10*time.Second, "connection-draining timeout on SIGTERM")
 	ingestThreshold := flag.Int("ingest-threshold", 0, "pending posts that trigger an incremental re-cluster; 0 disables POST /v1/ingest")
 	deltaDir := flag.String("delta-dir", "", "delta-journal directory for ingest persistence (empty = in-memory only)")
@@ -155,7 +154,6 @@ func main() {
 
 	cfg := server.Config{
 		Loader:         loader,
-		MaxBatch:       *maxBatch,
 		MaxInFlight:    *maxInFlight,
 		RequestTimeout: *requestTimeout,
 		DisableMetrics: !*metricsOn,

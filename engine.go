@@ -371,7 +371,8 @@ func (e *Engine) BuildStats() RunStats { return e.build.Stats() }
 // of the build dataset (Step 6) and merging the build stats. The result is
 // computed once and cached; subsequent calls return the same pointer.
 // Goroutine-safe. Clusters, associations, and summaries are identical to
-// what Run produces for the same dataset and configuration. An engine
+// a one-shot build and association of the same dataset and configuration
+// (the internal pipeline.Run, which the tests compare against). An engine
 // loaded from a snapshot must have a corpus bound (LoadEngine with
 // WithDataset) or Result panics; Associate and Match never need one.
 func (e *Engine) Result() *Result {
@@ -408,7 +409,7 @@ func (e *Engine) ResultFor(ctx context.Context, posts []Post) (*Result, error) {
 func (e *Engine) SnapshotVersion() uint32 { return e.build.SnapshotVersion() }
 
 // result materialises and caches the legacy Result, keeping the error for
-// callers (Run) that can propagate it.
+// callers (TryResult) that can propagate it.
 func (e *Engine) result() (*Result, error) {
 	e.once.Do(func() {
 		e.res, e.resErr = e.build.Result(context.Background())

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/memes-pipeline/memes/internal/pipeline"
 )
 
 // engineTestCorpus builds the small corpus and its filtered site once per
@@ -27,14 +29,14 @@ func engineTestCorpus(t *testing.T) (*Dataset, *AnnotationSite) {
 }
 
 // TestEngineResultMatchesRun asserts the acceptance criterion of the
-// build/serve split: Engine.Result() is identical to the legacy one-shot Run
-// for the same dataset and configuration, in every field except Stats (which
-// is documented as the only field that varies between runs).
+// build/serve split: Engine.Result() is identical to the one-shot
+// pipeline.Run for the same dataset and configuration, in every field except
+// Stats (which is documented as the only field that varies between runs).
 func TestEngineResultMatchesRun(t *testing.T) {
 	ds, site := engineTestCorpus(t)
-	legacy, err := Run(ds, site, DefaultPipelineConfig())
+	legacy, err := pipeline.Run(ds, site, DefaultPipelineConfig())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("pipeline.Run: %v", err)
 	}
 	eng, err := NewEngine(context.Background(), ds, site)
 	if err != nil {
@@ -45,16 +47,16 @@ func TestEngineResultMatchesRun(t *testing.T) {
 		t.Fatal("Engine.Result returned nil")
 	}
 	if !reflect.DeepEqual(res.Clusters, legacy.Clusters) {
-		t.Error("Engine.Result Clusters diverge from Run")
+		t.Error("Engine.Result Clusters diverge from pipeline.Run")
 	}
 	if !reflect.DeepEqual(res.Associations, legacy.Associations) {
-		t.Error("Engine.Result Associations diverge from Run")
+		t.Error("Engine.Result Associations diverge from pipeline.Run")
 	}
 	if !reflect.DeepEqual(res.PerCommunity, legacy.PerCommunity) {
-		t.Error("Engine.Result PerCommunity diverges from Run")
+		t.Error("Engine.Result PerCommunity diverges from pipeline.Run")
 	}
 	if !reflect.DeepEqual(res.Config, legacy.Config) {
-		t.Error("Engine.Result Config diverges from Run")
+		t.Error("Engine.Result Config diverges from pipeline.Run")
 	}
 	if res.Dataset != ds || res.Site != site {
 		t.Error("Engine.Result does not reference the build inputs")
@@ -66,7 +68,7 @@ func TestEngineResultMatchesRun(t *testing.T) {
 }
 
 // TestEngineAssociateHeldOutBatch associates a batch that is a strict subset
-// of the dataset and checks it returns exactly the associations Run produced
+// of the dataset and checks it returns exactly the associations Result produced
 // for those posts (with PostIndex remapped to the batch).
 func TestEngineAssociateHeldOutBatch(t *testing.T) {
 	ds, site := engineTestCorpus(t)
@@ -155,9 +157,9 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential Associate: %v", err)
 	}
-	legacy, err := Run(ds, site, DefaultPipelineConfig())
+	legacy, err := pipeline.Run(ds, site, DefaultPipelineConfig())
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("pipeline.Run: %v", err)
 	}
 
 	const goroutines = 8
@@ -185,10 +187,10 @@ func TestEngineConcurrentQueries(t *testing.T) {
 				}
 			}
 			// Result must be safe to materialise concurrently, and identical
-			// to the legacy sequential Run.
+			// to the sequential one-shot pipeline.Run.
 			res := eng.Result()
 			if !reflect.DeepEqual(res.Associations, legacy.Associations) {
-				errc <- errors.New("concurrent Result diverges from legacy Run")
+				errc <- errors.New("concurrent Result diverges from pipeline.Run")
 			}
 		}(g)
 	}

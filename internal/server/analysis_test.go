@@ -502,7 +502,6 @@ func TestMetricsScrapeAgreesWithStatsz(t *testing.T) {
 		`memes_match_total{outcome="missed"}`:        float64(doc.Match.Missed),
 		`memes_associate_posts_total`:                float64(doc.Associate.Posts),
 		`memes_associations_total`:                   float64(doc.Associate.Associations),
-		`memes_batches_total`:                        float64(doc.Batcher.Batches),
 		`memes_reloads_total`:                        float64(doc.Reloads),
 		`memes_engine_generation`:                    float64(doc.Generation),
 		`memes_clusters`:                             float64(doc.Clusters),

@@ -10,8 +10,7 @@ import (
 // known) and costs one bounded-buffer append per decision — declog.Logger
 // never blocks on its sink, so a slow collector cannot slow serving. The
 // engine benchmarks' 0 allocs/op contract is untouched: capture lives in
-// the HTTP handlers, which allocate for JSON anyway, never in the engine or
-// the micro-batcher.
+// the HTTP handlers, which allocate for JSON anyway, never in the engine.
 
 // logAssociateDecisions appends one decision per post of a served
 // /v1/associate batch — matched or not, so a replay sees the same

@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/memes-pipeline/memes"
 )
 
 // decodeError unmarshals an error response body.
@@ -250,81 +248,72 @@ func TestRecoveryMiddlewareContainsPanics(t *testing.T) {
 	}()
 }
 
-// TestBatcherContainsDispatchPanic drives a panic through the real dispatch
-// path (a nil engine poisons AssociateAppend): every queued caller gets an
-// error instead of a hang, and the dispatcher survives to serve — and again
-// contain — the next lookup.
-func TestBatcherContainsDispatchPanic(t *testing.T) {
-	var stats counters
-	b := newBatcher(memes.NewHotEngine(nil), 4, &stats)
-	defer b.Close()
-
-	for i := 0; i < 2; i++ {
-		done := make(chan matchOut, 1)
-		go func() { done <- b.Match(context.Background(), 0) }()
-		select {
-		case out := <-done:
-			if out.err == nil {
-				t.Fatalf("lookup %d against a poisoned engine succeeded", i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("lookup %d hung: the dispatcher died with the panic", i)
-		}
+// TestMatchContainsEnginePanic drives a panic through the real lookup path
+// (a nil engine poisons Engine.Match): the recovery middleware answers 500
+// with reason "panic" and counts it, and the server goes on serving the
+// next lookup once a real engine is back.
+func TestMatchContainsEnginePanic(t *testing.T) {
+	e := newTestEnv(t)
+	h := e.eng.Clusters()[0].MedoidHash
+	e.srv.hot.Swap(nil)
+	code, raw := e.do(t, http.MethodPost, "/v1/match", matchBody(h), nil)
+	if code != http.StatusInternalServerError {
+		t.Fatalf("lookup on a nil engine: status %d, want 500: %s", code, raw)
 	}
-	if got := stats.panics.Load(); got < 2 {
-		t.Fatalf("panics counter = %d, want >= 2 (one per contained flush)", got)
+	if er := decodeError(t, raw); er.Reason != reasonPanic {
+		t.Fatalf("lookup on a nil engine: reason = %q, want %q", er.Reason, reasonPanic)
+	}
+	if got := e.srv.stats.panics.Load(); got != 1 {
+		t.Fatalf("panics counter = %d, want 1", got)
+	}
+
+	e.srv.hot.Swap(e.eng)
+	var m matchResponse
+	if code, raw := e.do(t, http.MethodPost, "/v1/match", matchBody(h), &m); code != http.StatusOK {
+		t.Fatalf("lookup after the panic: status %d: %s", code, raw)
+	}
+	want, ok, err := e.eng.Match(context.Background(), h)
+	if err != nil || !ok {
+		t.Fatalf("engine Match: (%+v, %v, %v)", want, ok, err)
+	}
+	if !m.Matched || m.ClusterID != want.ClusterID || m.Distance != want.Distance {
+		t.Fatalf("lookup after the panic = %+v, want cluster %d at distance %d", m, want.ClusterID, want.Distance)
 	}
 }
 
-// TestBatcherDropsQueueExpiredLookups pins the flush-side expiry compaction:
-// lookups whose caller deadline lapsed while queued are answered with their
-// context error and spend no engine work, while live lookups in the same
-// batch are served normally.
-func TestBatcherDropsQueueExpiredLookups(t *testing.T) {
-	eng, _ := batcherEngine(t)
-	var stats counters
-	b := &batcher{
-		hot:      memes.NewHotEngine(eng),
-		maxBatch: 4,
-		stats:    &stats,
-	}
-	expiredCtx, cancel := context.WithCancel(context.Background())
+// TestMatchExpiredContext pins the lookup's own context check: with the
+// deadline middleware off, a /v1/match whose context has already expired is
+// answered 504 "deadline" (and counted), and one whose caller has gone is
+// answered 503 "canceled" — by Engine.Match, before any index work.
+func TestMatchExpiredContext(t *testing.T) {
+	e := newTestEnvCfg(t, func(c *Config) { c.RequestTimeout = -1 })
+	handler := e.srv.Handler()
+	body := matchBody(e.eng.Clusters()[0].MedoidHash)
+
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	h := eng.Clusters()[0].MedoidHash
-	expired := &matchReq{ctx: expiredCtx, hash: h, resp: make(chan matchOut, 1)}
-	live := &matchReq{ctx: context.Background(), hash: h, resp: make(chan matchOut, 1)}
-	b.batch = []*matchReq{expired, live}
-	b.flush()
-
-	if out := <-expired.resp; out.err != context.Canceled {
-		t.Fatalf("expired lookup err = %v, want context.Canceled", out.err)
+	for _, tc := range []struct {
+		ctx    context.Context
+		code   int
+		reason string
+	}{
+		{expired, http.StatusGatewayTimeout, reasonDeadline},
+		{cancelled, http.StatusServiceUnavailable, reasonCanceled},
+	} {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/match", bytes.NewReader(body)).WithContext(tc.ctx)
+		handler.ServeHTTP(rec, req)
+		if rec.Code != tc.code {
+			t.Fatalf("match on a done context (%v): status %d, want %d: %s", tc.ctx.Err(), rec.Code, tc.code, rec.Body)
+		}
+		if er := decodeError(t, rec.Body.Bytes()); er.Reason != tc.reason {
+			t.Fatalf("match on a done context (%v): reason = %q, want %q", tc.ctx.Err(), er.Reason, tc.reason)
+		}
 	}
-	out := <-live.resp
-	if out.err != nil {
-		t.Fatalf("live lookup: %v", out.err)
-	}
-	wantM, wantOK, err := eng.Match(context.Background(), h)
-	if err != nil {
-		t.Fatalf("engine Match: %v", err)
-	}
-	if out.ok != wantOK || out.m != wantM {
-		t.Fatalf("live lookup = (%+v,%v), want (%+v,%v)", out.m, out.ok, wantM, wantOK)
-	}
-	// Only the surviving lookup reached the engine.
-	if stats.batches.Load() != 1 || stats.batchedRequests.Load() != 1 || stats.largestBatch.Load() != 1 {
-		t.Fatalf("stats = batches %d, batched %d, largest %d; want 1/1/1",
-			stats.batches.Load(), stats.batchedRequests.Load(), stats.largestBatch.Load())
-	}
-
-	// An all-expired batch dispatches nothing at all.
-	expired2 := &matchReq{ctx: expiredCtx, hash: h, resp: make(chan matchOut, 1)}
-	b.batch = []*matchReq{expired2}
-	b.flush()
-	if out := <-expired2.resp; out.err != context.Canceled {
-		t.Fatalf("expired lookup err = %v, want context.Canceled", out.err)
-	}
-	if stats.batches.Load() != 1 {
-		t.Fatalf("an all-expired batch still dispatched (batches = %d)", stats.batches.Load())
+	if got := e.srv.stats.timeouts.Load(); got != 1 {
+		t.Fatalf("timeouts counter = %d, want 1", got)
 	}
 }
 

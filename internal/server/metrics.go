@@ -108,13 +108,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Counter("memes_associations_total", "Associations returned by /v1/associate.")
 	e.Sample("memes_associations_total", nil, float64(s.stats.associations.Load()))
 
-	e.Counter("memes_batches_total", "Micro-batcher Associate fan-outs.")
-	e.Sample("memes_batches_total", nil, float64(s.stats.batches.Load()))
-	e.Counter("memes_batched_requests_total", "Match lookups carried by micro-batcher fan-outs.")
-	e.Sample("memes_batched_requests_total", nil, float64(s.stats.batchedRequests.Load()))
-	e.Gauge("memes_largest_batch", "High-water mark of coalesced lookups in one fan-out.")
-	e.Sample("memes_largest_batch", nil, float64(s.stats.largestBatch.Load()))
-
 	e.Counter("memes_overload_shed_total", "Requests refused by admission control.")
 	e.Sample("memes_overload_shed_total", nil, float64(s.stats.shed.Load()))
 	e.Counter("memes_request_timeouts_total", "Requests answered 504 after their deadline.")

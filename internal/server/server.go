@@ -14,14 +14,14 @@
 // The JSON API:
 //
 //	POST /v1/associate     {"posts":[…]}            batch Step 6 association
-//	POST /v1/match         {"hash":"…"}             single-hash lookup (micro-batched)
+//	POST /v1/match         {"hash":"…"}             single-hash lookup
 //	POST /v1/match/image   raw image bytes          pHash (Step 1) + lookup
 //	POST /v1/influence     {"group":"…"}            live §5 Hawkes influence matrices
 //	GET  /v1/report                                 full memereport document over the live engine
 //	POST /v1/ingest        {"posts":[…]}            absorb new posts (streaming ingest)
 //	GET  /v1/healthz                                liveness + resident artifact shape
 //	GET  /v1/readyz                                 readiness (engine resident ∧ journal writable)
-//	GET  /v1/statsz                                 request/batch/build/ingest/overload counters
+//	GET  /v1/statsz                                 request/build/ingest/overload counters
 //	GET  /v1/metrics                                Prometheus text-format exposition
 //	GET  /v1/clusters                               the annotated-cluster artifact
 //	POST /v1/admin/reload                           hot-swap a fresh snapshot
@@ -35,9 +35,9 @@
 // to a decision log (Config.DecisionLog, internal/declog) for offline replay
 // through cmd/memereport.
 //
-// Concurrent /v1/match lookups are coalesced by a micro-batcher into single
-// Engine.Associate fan-outs bounded by the engine's worker pool; see
-// batcher.go.
+// A /v1/match lookup is answered on its own request goroutine with one
+// Engine.Match call; batch economics belong to /v1/associate, whose body
+// carries a whole batch of posts.
 package server
 
 import (
@@ -62,10 +62,6 @@ import (
 	"github.com/memes-pipeline/memes/internal/phash"
 )
 
-// DefaultMaxBatch bounds how many concurrent /v1/match lookups one
-// Associate fan-out may coalesce.
-const DefaultMaxBatch = 256
-
 // DefaultMaxBodyBytes bounds request bodies (associate batches, images).
 const DefaultMaxBodyBytes = 32 << 20
 
@@ -83,9 +79,6 @@ type Config struct {
 	// again on every Reload, so it must be safe to call repeatedly
 	// (typically: reopen the snapshot file and memes.LoadEngine it).
 	Loader func() (*memes.Engine, error)
-	// MaxBatch bounds the micro-batcher's coalescing window; 0 means
-	// DefaultMaxBatch.
-	MaxBatch int
 	// MaxBodyBytes bounds request bodies; 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 	// Ingest, when set, enables the streaming ingest path: it receives the
@@ -116,7 +109,6 @@ type Server struct {
 	hot      *memes.HotEngine
 	loader   func() (*memes.Engine, error)
 	ingestor *memes.Ingestor // nil when ingest is disabled
-	batch    *batcher
 	stats    counters
 	started  time.Time
 	loadedAt atomic.Value // time.Time of the last successful (re)load
@@ -145,10 +137,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: initial engine load: %w", err)
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
 	maxBody := cfg.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
@@ -175,11 +163,9 @@ func New(cfg Config) (*Server, error) {
 		s.sem = make(chan struct{}, maxInFlight)
 	}
 	s.loadedAt.Store(time.Now())
-	s.batch = newBatcher(s.hot, maxBatch, &s.stats)
 	if cfg.Ingest != nil {
 		ing, err := cfg.Ingest(s.hot)
 		if err != nil {
-			s.batch.Close()
 			return nil, fmt.Errorf("server: ingest setup: %w", err)
 		}
 		s.ingestor = ing
@@ -223,8 +209,8 @@ func (s *Server) Reload() (ReloadStatus, error) {
 }
 
 // Close stops the ingestor (waiting out any in-flight re-cluster and
-// sealing the journal) and the micro-batcher. The Server must not serve
-// requests after Close; shut the http.Server down first (connection
+// sealing the journal) and marks the server not ready. The Server must not
+// serve requests after Close; shut the http.Server down first (connection
 // draining), then Close. Idempotent: only the first call tears down.
 func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
@@ -233,7 +219,6 @@ func (s *Server) Close() {
 	if s.ingestor != nil {
 		s.ingestor.Close()
 	}
-	s.batch.Close()
 }
 
 // Handler returns the server's HTTP handler. Method routing relies on the
@@ -394,8 +379,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, reason, msg string)
 }
 
 // writeQueryError maps a query-path failure to its transport shape: expired
-// deadlines become 504, caller cancellations and server shutdown become 503,
-// anything else is a 500.
+// deadlines become 504, caller cancellations 503, anything else a 500.
 func (s *Server) writeQueryError(w http.ResponseWriter, prefix string, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -403,8 +387,6 @@ func (s *Server) writeQueryError(w http.ResponseWriter, prefix string, err error
 		s.writeError(w, http.StatusGatewayTimeout, reasonDeadline, prefix+": "+err.Error())
 	case errors.Is(err, context.Canceled):
 		s.writeError(w, http.StatusServiceUnavailable, reasonCanceled, prefix+": "+err.Error())
-	case errors.Is(err, errBatcherClosed):
-		s.writeError(w, http.StatusServiceUnavailable, reasonClosed, prefix+": "+err.Error())
 	default:
 		s.writeError(w, http.StatusInternalServerError, reasonInternal, prefix+": "+err.Error())
 	}
@@ -471,26 +453,29 @@ func (s *Server) handleMatchImage(w http.ResponseWriter, r *http.Request) {
 	s.answerMatch(w, r, h)
 }
 
-// answerMatch funnels both match endpoints through the micro-batcher and
-// renders the lookup against the engine generation that answered it.
+// answerMatch serves both match endpoints: it pins one engine generation,
+// looks the hash up on it and renders the answer against that same engine,
+// so the cluster metadata and the generation label come from the artifact
+// that answered even while a hot reload swaps the engine underneath.
 func (s *Server) answerMatch(w http.ResponseWriter, r *http.Request, h memes.Hash) {
-	out := s.batch.Match(r.Context(), h)
-	if out.err != nil {
-		s.writeQueryError(w, "match", out.err)
+	eng, gen := s.hot.Pin()
+	m, ok, err := eng.Match(r.Context(), h)
+	if err != nil {
+		s.writeQueryError(w, "match", err)
 		return
 	}
 	resp := matchResponse{
-		Matched:    out.ok,
+		Matched:    ok,
 		ClusterID:  -1,
 		Distance:   -1,
 		Hash:       h.String(), // canonical 16-digit lowercase hex
-		Generation: out.gen,    // the generation that actually answered
+		Generation: gen,
 	}
-	if out.ok {
+	if ok {
 		s.stats.matched.Add(1)
-		ci := &out.eng.Clusters()[out.m.ClusterID]
-		resp.ClusterID = out.m.ClusterID
-		resp.Distance = out.m.Distance
+		ci := &eng.Clusters()[m.ClusterID]
+		resp.ClusterID = m.ClusterID
+		resp.Distance = m.Distance
 		resp.Entry = ci.EntryName()
 		resp.Community = ci.Community.String()
 	} else {
@@ -600,12 +585,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Associate: AssocStats{
 			Posts:        s.stats.associatedPosts.Load(),
 			Associations: s.stats.associations.Load(),
-		},
-		Batcher: BatcherStats{
-			Batches:         s.stats.batches.Load(),
-			BatchedRequests: s.stats.batchedRequests.Load(),
-			LargestBatch:    s.stats.largestBatch.Load(),
-			MaxBatch:        s.batch.maxBatch,
 		},
 		Overload: OverloadStats{
 			Shed:        s.stats.shed.Load(),

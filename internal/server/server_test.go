@@ -451,8 +451,19 @@ func TestHotReloadZeroDroppedRequests(t *testing.T) {
 	if stats.Requests.Errors != 0 {
 		t.Fatalf("statsz errors = %d, want 0", stats.Requests.Errors)
 	}
-	if stats.Batcher.Batches == 0 || stats.Batcher.BatchedRequests < stats.Batcher.Batches {
-		t.Fatalf("statsz batcher = %+v, want batches > 0 and batched_requests >= batches", stats.Batcher)
+	// Every lookup above went through the match path: the baseline pass,
+	// the hammer and the pass after it.
+	const passes = 2 + matchWorkers*iters
+	lookups := int64(len(hashes) * passes)
+	var matched int64
+	for _, h := range hashes {
+		if matchBaseline[h].Matched {
+			matched += passes
+		}
+	}
+	if stats.Requests.Match != lookups || stats.Match.Matched != matched || stats.Match.Missed != lookups-matched {
+		t.Fatalf("statsz match = %d requests, %+v; want %d requests, %d matched, %d missed",
+			stats.Requests.Match, stats.Match, lookups, matched, lookups-matched)
 	}
 	if stats.Generation != uint64(1+reloads) {
 		t.Fatalf("statsz generation = %d, want %d", stats.Generation, 1+reloads)

@@ -27,27 +27,11 @@ type counters struct {
 	associatedPosts atomic.Int64 // posts received by /v1/associate
 	associations    atomic.Int64 // associations returned by /v1/associate
 
-	batches         atomic.Int64 // Associate fan-outs the micro-batcher ran
-	batchedRequests atomic.Int64 // /v1/match lookups those fan-outs carried
-	largestBatch    atomic.Int64 // high-water mark of coalesced lookups
-
 	reloads atomic.Int64 // successful hot swaps (admin endpoint or SIGHUP)
 
 	shed     atomic.Int64 // requests refused by admission control (503)
 	timeouts atomic.Int64 // requests answered 504 after their deadline
-	panics   atomic.Int64 // handler/dispatcher panics contained by recovery
-}
-
-// observeBatch records one micro-batcher fan-out of n coalesced lookups.
-func (c *counters) observeBatch(n int) {
-	c.batches.Add(1)
-	c.batchedRequests.Add(int64(n))
-	for {
-		cur := c.largestBatch.Load()
-		if int64(n) <= cur || c.largestBatch.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
+	panics   atomic.Int64 // handler panics contained by recovery
 }
 
 // The /v1/statsz document types (StatsDoc and its sub-structs) live in

@@ -200,9 +200,9 @@ type ReloadStatus struct {
 	LoadMS     float64       `json:"load_ms"`
 }
 
-// StatsDoc is the GET /v1/statsz response: request counters, micro-batcher
-// shape, hot-swap state, decision-log accounting, and the resident
-// engine's build-phase RunStats.
+// StatsDoc is the GET /v1/statsz response: request counters, hot-swap
+// state, overload and ingest counters, decision-log accounting, and the
+// resident engine's build-phase RunStats.
 type StatsDoc struct {
 	UptimeMS          float64       `json:"uptime_ms"`
 	Generation        uint64        `json:"generation"`
@@ -214,7 +214,7 @@ type StatsDoc struct {
 	Requests          RequestStats  `json:"requests"`
 	Match             MatchStats    `json:"match"`
 	Associate         AssocStats    `json:"associate"`
-	Batcher           BatcherStats  `json:"batcher"`
+	Batcher           BatcherStats  `json:"batcher"` // always zero; see BatcherStats
 	Overload          OverloadStats `json:"overload"`
 	Ingest            IngestStats   `json:"ingest"`
 	DecisionLog       DecLogStats   `json:"decision_log"`
@@ -258,8 +258,10 @@ type AssocStats struct {
 	Associations int64 `json:"associations"`
 }
 
-// BatcherStats describes the micro-batcher's coalescing behaviour: how many
-// Associate fan-outs served how many /v1/match lookups.
+// BatcherStats is always zero: /v1/match answers each lookup inline and
+// coalesces nothing. The type and StatsDoc.Batcher are kept only because
+// the benchmark's memeload decodes them (it skips batch_size_mean when
+// Batches is 0); drop both with that reader.
 type BatcherStats struct {
 	Batches         int64 `json:"batches"`
 	BatchedRequests int64 `json:"batched_requests"`

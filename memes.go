@@ -26,7 +26,6 @@
 package memes
 
 import (
-	"context"
 	"image"
 
 	"github.com/memes-pipeline/memes/internal/analysis"
@@ -123,23 +122,6 @@ type Result = pipeline.Result
 // ClusterInfo describes one cluster: its fringe community, medoid, size, and
 // KYM annotation.
 type ClusterInfo = pipeline.ClusterInfo
-
-// Run executes the processing pipeline over a dataset and an annotation
-// site. Use ds.Site(true) for a site with screenshots already filtered, or
-// FilterSiteWithClassifier to run the learned screenshot filter.
-//
-// Deprecated: Run rebuilds the entire Steps 2-5 index on every call and
-// cannot be cancelled. Build the index once with NewEngine and query it with
-// Engine.Associate / Engine.Match; Engine.Result produces exactly the
-// *Result Run returns. Run remains as a thin wrapper (NewEngine + Result)
-// so existing call sites keep working.
-func Run(ds *Dataset, site *AnnotationSite, cfg PipelineConfig) (*Result, error) {
-	eng, err := NewEngine(context.Background(), ds, site, WithConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return eng.result()
-}
 
 // Metric is the custom inter-cluster distance metric of Section 2.3.
 type Metric = distance.Metric

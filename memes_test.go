@@ -1,6 +1,7 @@
 package memes
 
 import (
+	"context"
 	"testing"
 
 	"github.com/memes-pipeline/memes/internal/imaging"
@@ -22,10 +23,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Site: %v", err)
 	}
-	res, err := Run(ds, site, DefaultPipelineConfig())
+	eng, err := NewEngine(context.Background(), ds, site)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
+	res := eng.Result()
 	if len(res.Clusters) == 0 || len(res.Associations) == 0 {
 		t.Fatal("pipeline produced no clusters or associations")
 	}
