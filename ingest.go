@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"github.com/memes-pipeline/memes/internal/dataset"
 	"github.com/memes-pipeline/memes/internal/ingest"
 	"github.com/memes-pipeline/memes/internal/phash"
 	"github.com/memes-pipeline/memes/internal/pipeline"
@@ -88,6 +89,7 @@ func NewIngestor(hot *HotEngine, ds *Dataset, site *AnnotationSite, cfg IngestCo
 			return ok, err
 		},
 		Publish: func(b *pipeline.BuildResult) { hot.Swap(&Engine{build: b}) },
+		Rebind:  func(ds *dataset.Dataset) { hot.Swap(&Engine{build: hot.Engine().build.Rebind(ds)}) },
 	})
 }
 

@@ -94,8 +94,8 @@ const (
 	// of its nodes, which is why it is no longer the default.
 	BKTree Strategy = "bktree"
 	// MultiIndex is multi-index hashing: one flat table of eight 8-bit
-	// bands, probed with the substring bound below radius 16 and scanned
-	// linearly from there. The default.
+	// bands over the distinct hashes, probed with the substring bound below
+	// radius 16 and scanned linearly from there. The default.
 	MultiIndex Strategy = "multiindex"
 	// Sharded partitions hashes across per-shard BK-trees and fans radius
 	// queries out across the shards in parallel.

@@ -86,6 +86,11 @@ type Config struct {
 	// Publish swaps a freshly assembled build into the serving path. It is
 	// called from the re-cluster goroutine and must not block for long.
 	Publish func(*pipeline.BuildResult)
+	// Rebind swaps in the served build bound to ds, a corpus its clusters
+	// already fold, without re-clustering (pipeline.BuildResult.Rebind).
+	// Replay calls it when the process booted from a base that folds the
+	// whole journal, so the analysis answers see the replayed posts.
+	Rebind func(ds *dataset.Dataset)
 }
 
 // withDefaults returns the config with zero fields defaulted.
@@ -194,8 +199,8 @@ func New(inc *pipeline.Incremental, cfg Config) (*Ingestor, error) {
 	if inc == nil {
 		return nil, errors.New("ingest: nil incremental state")
 	}
-	if cfg.Match == nil || cfg.Publish == nil {
-		return nil, errors.New("ingest: Config.Match and Config.Publish are required")
+	if cfg.Match == nil || cfg.Publish == nil || cfg.Rebind == nil {
+		return nil, errors.New("ingest: Config.Match, Config.Publish and Config.Rebind are required")
 	}
 	cfg = cfg.withDefaults()
 	if cfg.DeltaDir != "" {
@@ -574,7 +579,10 @@ func (g *Ingestor) removeStaleBases(keep uint64) error {
 // the restart path. folded is the sequence already baked into the engine the
 // process booted from (LatestBase's sequence, or 0 for a plain base build);
 // when the journal covers more than that, a rebuild is published so serving
-// catches up before Replay returns. Returns the number of replayed posts.
+// catches up before Replay returns. When it covers exactly that, the booted
+// clusters are current but its corpus is the one before the journal: the
+// served build is rebound to the union corpus, with no re-cluster. Returns
+// the number of replayed posts.
 func (g *Ingestor) Replay(ctx context.Context, folded uint64) (int, error) {
 	if g.cfg.DeltaDir == "" {
 		return 0, nil
@@ -653,6 +661,8 @@ func (g *Ingestor) Replay(ctx context.Context, folded uint64) (int, error) {
 		g.mu.Lock()
 		g.reclusters++
 		g.mu.Unlock()
+	} else if len(posts) > 0 {
+		g.cfg.Rebind(g.inc.UnionDataset())
 	}
 	g.mu.Lock()
 	g.seq = covered

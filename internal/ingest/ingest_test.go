@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -38,7 +39,7 @@ func carve(t *testing.T, live int) (*dataset.Dataset, *dataset.Dataset, []datase
 }
 
 // harness builds the base engine, publishes it into an atomic slot, and
-// wires an Ingestor's Match/Publish hooks to that slot — the in-process
+// wires an Ingestor's Match/Publish/Rebind hooks to that slot — the in-process
 // stand-in for HotEngine.Swap.
 func harness(t *testing.T, base *dataset.Dataset, site *annotate.Site, cfg Config) (*Ingestor, *atomic.Pointer[pipeline.BuildResult], pipeline.Config) {
 	t.Helper()
@@ -54,6 +55,7 @@ func harness(t *testing.T, base *dataset.Dataset, site *annotate.Site, cfg Confi
 		return ok, err
 	}
 	cfg.Publish = func(nb *pipeline.BuildResult) { cur.Store(nb) }
+	cfg.Rebind = func(ds *dataset.Dataset) { cur.Store(cur.Load().Rebind(ds)) }
 	inc, err := pipeline.NewIncremental(base, site, pcfg)
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
@@ -316,10 +318,16 @@ func TestIngestCompaction(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Restart from the compacted state: the journal covers exactly what the
-	// base folds, so replay absorbs the posts without republishing.
+	// Restart from the compacted state, loaded over the base corpus as a
+	// booting server does: the journal covers exactly what the base folds,
+	// so replay rebinds the loaded clusters to the union corpus — no
+	// re-cluster, and every replayed post in the corpus the analysis reads.
 	g2, cur2, _ := harness(t, base, site, Config{Threshold: 1 << 20, DeltaDir: dir})
-	before := cur2.Load()
+	loaded, err := pipeline.LoadBuild(bytes.NewReader(snap), site, base, nil, nil)
+	if err != nil {
+		t.Fatalf("LoadBuild: %v", err)
+	}
+	cur2.Store(loaded)
 	n, err := g2.Replay(ctx, seq)
 	if err != nil {
 		t.Fatalf("Replay after compaction: %v", err)
@@ -327,8 +335,15 @@ func TestIngestCompaction(t *testing.T) {
 	if n != len(live) {
 		t.Errorf("replayed %d posts, want %d", n, len(live))
 	}
-	if cur2.Load() != before {
-		t.Error("replay republished although the base already folds the journal")
+	served := cur2.Load()
+	if !bytes.Equal(saveBytes(t, served), snap) {
+		t.Error("replay changed the clusters although the base already folds the journal")
+	}
+	if !reflect.DeepEqual(served.Dataset.Posts, full.Posts) {
+		t.Errorf("served corpus holds %d posts after replay, want the union's %d", len(served.Dataset.Posts), len(full.Posts))
+	}
+	if st := g2.Stats(); st.Reclusters != 0 {
+		t.Errorf("replay re-clustered %d times, want a rebind", st.Reclusters)
 	}
 	// One more ingested batch after the restart still converges.
 	extra := live[:0:0]

@@ -287,10 +287,13 @@ func (t *bandTable) appendWithin(dst []int32, q Hash, radius int) []int32 {
 }
 
 // MultiIndex is multi-index hashing over 64-bit perceptual hashes: a
-// bandTable over the inserted (hash, id) pairs, exact at every radius. It
-// is the default Step 6 strategy: at the pipeline's radius of 8 a probe
-// popcounts about a sixteenth of the table, where a BK-tree over the same
-// medoids visits most of its nodes.
+// bandTable over the distinct hashes of the inserted (hash, id) pairs, exact
+// at every radius. It is the default Step 6 strategy: at the pipeline's
+// radius of 8 a probe popcounts about a sixteenth of the distinct hashes,
+// where a BK-tree over the same medoids visits most of its nodes. The
+// annotated medoids of one meme in several communities mostly share a hash
+// (4,698 medoids, 2,661 distinct hashes on the large corpus), and the table
+// holds each hash once, with the run of ids it carries.
 //
 // The lifecycle is Insert, Seal, query. Seal sorts the pairs by (hash, id)
 // and builds the table; Insert after Seal panics. A query before Seal seals
@@ -299,7 +302,11 @@ func (t *bandTable) appendWithin(dst []int32, q Hash, radius int) []int32 {
 type MultiIndex struct {
 	hashes []Hash  // the pairs; sorted by (hash, id) once sealed
 	ids    []int64 // parallel to hashes
-	table  *bandTable
+	// starts[u] is where table slot u's run of equal hashes begins in
+	// hashes, plus a final len(hashes): slot u's ids, ascending, are
+	// ids[starts[u]:starts[u+1]].
+	starts []int32
+	table  *bandTable // over the distinct hashes, ascending
 }
 
 // NewMultiIndex returns an empty multi-index.
@@ -318,8 +325,8 @@ func (m *MultiIndex) Insert(h Hash, id int64) {
 }
 
 // Seal sorts the pairs by (hash, id) — equal hashes become one contiguous
-// run with ascending ids — and builds the band table over them. Sealing a
-// sealed index is a no-op.
+// run with ascending ids — and builds the band table over the distinct
+// hashes, one slot per run. Sealing a sealed index is a no-op.
 func (m *MultiIndex) Seal() {
 	if m.table != nil {
 		return
@@ -338,10 +345,23 @@ func (m *MultiIndex) Seal() {
 		}
 		return cmp.Compare(a.id, b.id)
 	})
+	runs := 0
 	for i, p := range pairs {
 		m.hashes[i], m.ids[i] = p.h, p.id
+		if i == 0 || p.h != pairs[i-1].h {
+			runs++
+		}
 	}
-	m.table = newBandTable(m.hashes)
+	distinct := make([]Hash, 0, runs)
+	m.starts = make([]int32, 0, runs+1)
+	for i, h := range m.hashes {
+		if i == 0 || h != m.hashes[i-1] {
+			distinct = append(distinct, h)
+			m.starts = append(m.starts, int32(i))
+		}
+	}
+	m.starts = append(m.starts, int32(len(m.hashes)))
+	m.table = newBandTable(distinct)
 }
 
 // sealed returns m if it is sealed and a sealed copy of it otherwise.
@@ -357,7 +377,10 @@ func (m *MultiIndex) sealed() *MultiIndex {
 // NearestWithin returns the id of the stored pair closest to q among those
 // within radius, and its distance; ties go to the lowest id. It is a radius
 // query and the Step 6 reduction over its matches fused into one pass: the
-// answer a caller would pick from Radius, with nothing materialised.
+// answer a caller would pick from Radius, with nothing materialised. A
+// slot's candidate is its run's first id, the lowest; an exact hit ends the
+// probe, since q itself is the only hash at distance 0 and the table holds
+// it once.
 //
 //memes:noalloc
 func (m *MultiIndex) NearestWithin(q Hash, radius int) (id int64, dist int, ok bool) {
@@ -370,7 +393,11 @@ func (m *MultiIndex) NearestWithin(q Hash, radius int) (id int64, dist int, ok b
 			if d > radius {
 				continue
 			}
-			if c := m.ids[t.slots[i]]; !ok || d < dist || (d == dist && c < id) {
+			c := m.ids[m.starts[t.slots[i]]]
+			if d == 0 {
+				return c, 0, true
+			}
+			if !ok || d < dist || (d == dist && c < id) {
 				id, dist, ok = c, d, true
 			}
 		}
@@ -399,14 +426,9 @@ func (m *MultiIndex) RadiusScratch(q Hash, radius int, s *Scratch) []Match {
 	m = m.sealed()
 	s.Reset()
 	s.slots = m.table.appendWithin(s.slots[:0], q, radius)
-	// The pairs are sorted by hash, so the hits on one hash are one run of
-	// consecutive slots — its whole run, since equal hashes are equally far.
-	for i := 0; i < len(s.slots); {
-		lo := s.slots[i]
-		h := m.hashes[lo]
-		for i++; i < len(s.slots) && m.hashes[s.slots[i]] == h; i++ {
-		}
-		s.out = append(s.out, Match{Hash: h, Distance: Distance(q, h), IDs: m.ids[lo : s.slots[i-1]+1]})
+	for _, u := range s.slots {
+		h := m.table.src[u]
+		s.out = append(s.out, Match{Hash: h, Distance: Distance(q, h), IDs: m.ids[m.starts[u]:m.starts[u+1]]})
 	}
 	slices.SortFunc(s.out, compareMatches)
 	return s.out

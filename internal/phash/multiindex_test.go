@@ -30,6 +30,29 @@ func pairCorpus(rng *rand.Rand, n int, clustered bool) ([]Hash, []int64) {
 	return hashes, ids
 }
 
+// medoidCorpus draws the pairs Step 6 serves: one meme's annotated medoids
+// in several communities mostly share a hash, so every hash carries one to
+// three ids. Hashes are random or near-duplicate families, and the pairs go
+// in shuffled, with shuffled ids.
+func medoidCorpus(rng *rand.Rand, n int, clustered bool) ([]Hash, []int64) {
+	var hashes []Hash
+	for len(hashes) < n {
+		h := Hash(rng.Uint64())
+		if clustered {
+			h = clusteredCorpus(rng, 1)[0]
+		}
+		for c := 1 + rng.Intn(3); c > 0 && len(hashes) < n; c-- {
+			hashes = append(hashes, h)
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { hashes[i], hashes[j] = hashes[j], hashes[i] })
+	ids := make([]int64, n)
+	for i, p := range rng.Perm(n) {
+		ids[i] = int64(p) - 3
+	}
+	return hashes, ids
+}
+
 // scanNearestWithin is the oracle: a linear scan keeping the minimum
 // distance within radius and, among equals, the lowest id.
 func scanNearestWithin(hashes []Hash, ids []int64, q Hash, radius int) (id int64, dist int, ok bool) {
@@ -121,9 +144,35 @@ func TestMultiIndexMatchesLinearScan(t *testing.T) {
 	})
 }
 
+// TestMultiIndexServedShape compares every query surface with the oracles
+// on the shape Step 6 serves: each hash carries one to three ids, and about
+// 40% of the queries hit a stored hash exactly — the probe NearestWithin
+// ends early on.
+func TestMultiIndexServedShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var s Scratch
+	forEachLayout(func() {
+		for _, clustered := range []bool{false, true} {
+			hashes, ids := medoidCorpus(rng, 600, clustered)
+			m := sealedIndex(hashes, ids)
+			for trial := 0; trial < 400; trial++ {
+				q := hashes[rng.Intn(len(hashes))]
+				if rng.Intn(5) >= 2 {
+					q = perturb(rng, q, 1+rng.Intn(12))
+				}
+				for _, radius := range []int{0, 3, 8, 10, 16} {
+					checkMultiIndex(t, m, hashes, ids, q, radius, &s)
+				}
+			}
+		}
+	})
+}
+
 // FuzzNearestWithin drives the same comparison from the fuzzer: any corpus
 // seed, shape, query and radius must see the band table agree with the
-// linear scan on NearestWithin, Radius and RadiusScratch.
+// linear scan on NearestWithin, Radius and RadiusScratch. A negative seed
+// draws the served medoid shape (medoidCorpus: every hash one to three ids)
+// in place of pairCorpus's occasional duplicates.
 func FuzzNearestWithin(f *testing.F) {
 	f.Add(int64(1), false, uint64(0x55352b0b8d8b5b53), 8)
 	f.Add(int64(2), true, uint64(0), 0)
@@ -131,12 +180,17 @@ func FuzzNearestWithin(f *testing.F) {
 	f.Add(int64(4), false, uint64(1), -1)
 	f.Add(int64(64), true, uint64(7), 15) // n = 0: the empty index
 	f.Add(int64(5), false, uint64(9), 16)
+	f.Add(int64(-41), true, uint64(0), 8) // heavy duplicates, an exact hit
 	f.Fuzz(func(t *testing.T, seed int64, clustered bool, query uint64, radius int) {
 		if radius < -1 || radius > MaxDistance {
 			radius = int(uint(radius)%(MaxDistance+2)) - 1
 		}
 		rng := rand.New(rand.NewSource(seed))
-		hashes, ids := pairCorpus(rng, int(uint64(seed)%64)*5, clustered)
+		n := int(uint64(seed)%64) * 5
+		hashes, ids := pairCorpus(rng, n, clustered)
+		if seed < 0 {
+			hashes, ids = medoidCorpus(rng, n, clustered)
+		}
 		near := Hash(query)
 		if len(hashes) > 0 {
 			// A query near a stored hash: the interesting case for ties.

@@ -75,6 +75,21 @@ func (b *BuildResult) Close() error {
 	return c()
 }
 
+// Rebind returns a copy of b bound to ds, a corpus whose clusters b already
+// holds: the restart path, where a compacted base folds every journaled post
+// but was loaded over the corpus from before them. Nothing is rebuilt; the
+// clusters and the medoid index are shared. A copy of a v2 load aliases b's
+// mapping: closing the copy closes it, and holding the copy holds b, whose
+// finalizer releases the mapping once neither is reachable.
+func (b *BuildResult) Rebind(ds *dataset.Dataset) *BuildResult {
+	c := *b
+	c.Dataset = ds
+	if b.closer != nil {
+		c.closer = b.Close
+	}
+	return &c
+}
+
 // Match is the outcome of a single-hash lookup against the annotated
 // clusters: the winning cluster and its Hamming distance from the query.
 type Match struct {

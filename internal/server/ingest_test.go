@@ -75,17 +75,7 @@ func newIngestEnv(t *testing.T, cfg memes.IngestConfig) (*testEnv, memes.Hash) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	snap := filepath.Join(t.TempDir(), "engine.snap")
-	f, err := os.Create(snap)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if err := eng.Save(f); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	snap := saveSnapshot(t, eng)
 	loader := func() (*memes.Engine, error) {
 		r, err := os.Open(snap)
 		if err != nil {
@@ -107,6 +97,23 @@ func newIngestEnv(t *testing.T, cfg memes.IngestConfig) (*testEnv, memes.Hash) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return &testEnv{ds: ds, eng: eng, srv: srv, ts: ts}, novel
+}
+
+// saveSnapshot writes eng's snapshot to a temporary file and returns its path.
+func saveSnapshot(t *testing.T, eng *memes.Engine) string {
+	t.Helper()
+	snap := filepath.Join(t.TempDir(), "engine.snap")
+	f, err := os.Create(snap)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	if err := eng.Save(f); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	return snap
 }
 
 // ingestBody marshals an ingest request.
@@ -338,5 +345,97 @@ func TestIngestHotSwapZeroDrops(t *testing.T) {
 	}
 	if stats.Requests.Errors != 0 {
 		t.Errorf("statsz errors = %d, want 0", stats.Requests.Errors)
+	}
+}
+
+// bootFromDeltaDir starts a server the way memeserve boots with -delta-dir:
+// from the newest compacted base in dir when there is one (else snap), with
+// the -in corpus bound through WithDataset, then replays the journal.
+func bootFromDeltaDir(t *testing.T, ds *memes.Dataset, site *memes.AnnotationSite, snap, dir string, cfg memes.IngestConfig) *testEnv {
+	t.Helper()
+	var baseSeq uint64
+	if path, seq, ok, err := memes.LatestDeltaBase(dir); err != nil {
+		t.Fatalf("LatestDeltaBase: %v", err)
+	} else if ok {
+		snap, baseSeq = path, seq
+	}
+	cfg.DeltaDir = dir
+	srv, err := New(Config{
+		Loader: func() (*memes.Engine, error) {
+			return memes.LoadEngineFile(snap, site, memes.WithDataset(ds))
+		},
+		Ingest: func(hot *memes.HotEngine) (*memes.Ingestor, error) {
+			return memes.NewIngestor(hot, ds, site, cfg)
+		},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	if _, err := srv.Ingestor().Replay(t.Context(), baseSeq); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return &testEnv{ds: ds, srv: srv, ts: ts}
+}
+
+// reportSections fetches /v1/report and returns its sections: the report
+// itself, without the generation and snapshot version that name the
+// artifact serving it.
+func reportSections(t *testing.T, e *testEnv) []reportSectionJSON {
+	t.Helper()
+	var doc reportResponse
+	if code, raw := e.do(t, http.MethodGet, "/v1/report", nil, &doc); code != http.StatusOK {
+		t.Fatalf("report status = %d: %s", code, raw)
+	}
+	return doc.Sections
+}
+
+// TestReportSurvivesCompactionRestart pins the restart path of the analysis
+// endpoints: ingest posts that make a new cluster, let the journal compact,
+// restart cleanly from the compacted base, and the report must be the same
+// bytes as before the restart — the ingested posts included.
+func TestReportSurvivesCompactionRestart(t *testing.T) {
+	ds, err := memes.GenerateDataset(memes.SmallDatasetConfig())
+	if err != nil {
+		t.Fatalf("GenerateDataset: %v", err)
+	}
+	novel := plantServerNovelEntry(t, ds)
+	site, err := ds.Site(true)
+	if err != nil {
+		t.Fatalf("Site: %v", err)
+	}
+	eng, err := memes.NewEngine(t.Context(), ds, site)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	snap := saveSnapshot(t, eng)
+	dir := t.TempDir()
+	cfg := memes.IngestConfig{Threshold: 5, CompactAfter: 1}
+
+	e := bootFromDeltaDir(t, ds, site, snap, dir, cfg)
+	if code, raw := e.do(t, http.MethodPost, "/v1/ingest", ingestBody(t, novelPosts(novel, 5)), nil); code != http.StatusOK {
+		t.Fatalf("ingest status = %d: %s", code, raw)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for e.srv.Ingestor().Stats().Compactions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no compaction ran; stats %+v", e.srv.Ingestor().Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	before := reportSections(t, e)
+	e.ts.Close()
+	e.srv.Close()
+
+	after := reportSections(t, bootFromDeltaDir(t, ds, site, snap, dir, cfg))
+	if len(after) != len(before) {
+		t.Fatalf("report has %d sections after the restart, %d before", len(after), len(before))
+	}
+	for i := range before {
+		if after[i] != before[i] {
+			t.Errorf("section %q differs after the restart:\nbefore:\n%s\nafter:\n%s", before[i].Title, before[i].Body, after[i].Body)
+		}
 	}
 }

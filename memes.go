@@ -97,8 +97,9 @@ const (
 	// visits most of its nodes, so it is no longer the default.
 	IndexBKTree = index.BKTree
 	// IndexMultiIndex is multi-index hashing (the default): one flat table
-	// of eight 8-bit bands, probed with the substring bound — at θ = 8 a
-	// lookup popcounts about a sixteenth of the medoids.
+	// of eight 8-bit bands over the distinct medoid hashes, probed with the
+	// substring bound — at θ = 8 a lookup popcounts about a sixteenth of
+	// them, and an exact hit ends it.
 	IndexMultiIndex = index.MultiIndex
 	// IndexSharded partitions medoids across per-shard BK-trees and fans
 	// each query out across the shards in parallel.
