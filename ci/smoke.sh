@@ -5,7 +5,8 @@
 # /v1/match, a full-corpus /v1/associate asserted against the memepipeline
 # -format json summary, a hot reload via the admin endpoint and via SIGHUP,
 # streaming ingest (POST /v1/ingest absorbs novel posts, re-clusters, and
-# serves them without a restart; the delta journal replays them across one),
+# serves them without a restart; the delta journal replays them across one,
+# and /v1/report's sections are the same before and after that restart),
 # and a graceful SIGTERM shutdown. The observability layer is exercised on
 # the way: /v1/influence and /v1/report answer over the live engine, the
 # /v1/metrics Prometheus scrape must agree with /v1/statsz counter for
@@ -157,6 +158,7 @@ for pair in \
   'memes_requests_total{endpoint="match"} .requests.match' \
   'memes_requests_total{endpoint="influence"} .requests.influence' \
   'memes_requests_total{endpoint="report"} .requests.report' \
+  'memes_requests_total{endpoint="clusters"} .requests.clusters' \
   'memes_errors_total .requests.errors' \
   'memes_match_total{outcome="matched"} .match.matched' \
   'memes_match_total{outcome="missed"} .match.missed' \
@@ -239,8 +241,11 @@ base_version=$(od -An -tu4 -j8 -N4 "$base" | tr -d ' ')
 [ "$base_version" = "2" ] || { echo "FAIL: compacted base $base is version $base_version, want 2"; exit 1; }
 curl -fsS "http://$addr/v1/statsz" >"$workdir/stats_compact.json"
 jq -e '.ingest.compactions >= 1' "$workdir/stats_compact.json" >/dev/null
+# The report over the ingested corpus, kept to compare with the restarted
+# node's: a restart must not change what the analysis endpoints answer.
+curl -fsS "http://$addr/v1/report" >"$workdir/report_compacted.json"
 
-step "restart: the compacted base + journal replay the ingested posts"
+step "restart: the compacted base + journal replay the ingested posts, and the report is unchanged"
 kill -TERM "$server_pid"
 if ! wait "$server_pid"; then
   echo "FAIL: memeserve exited non-zero on SIGTERM before restart"
@@ -283,6 +288,12 @@ curl -fsS -X POST --data-binary @"$workdir/novel_match_req.json" \
 jq -e '.matched == true and .entry == "synthetic-novel-meme"' "$workdir/novel_replayed.json" >/dev/null
 curl -fsS "http://$addr/v1/statsz" >"$workdir/stats_replayed.json"
 jq -e '.ingest.enabled == true and .ingest.seq == 5' "$workdir/stats_replayed.json" >/dev/null
+curl -fsS "http://$addr/v1/report" >"$workdir/report_replayed.json"
+if ! diff <(jq '.sections' "$workdir/report_compacted.json") \
+          <(jq '.sections' "$workdir/report_replayed.json") >/dev/null; then
+  echo "FAIL: /v1/report sections differ after the restart from the compacted base"
+  exit 1
+fi
 
 step "graceful shutdown on SIGTERM"
 kill -TERM "$server_pid"

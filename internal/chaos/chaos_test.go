@@ -127,10 +127,11 @@ func runChild(t *testing.T, dir, spec string, compact bool) string {
 }
 
 // verifyRecovery restarts from the crashed child's delta dir exactly the way
-// memeserve boots — newest compacted base if one landed, otherwise a fresh
-// base build, then journal replay — and asserts the recovered engine is
-// bitwise-identical to a from-scratch build over the base corpus plus the
-// journaled prefix of the live tail. Journal contents, not child acks, are
+// memeserve boots — newest compacted base if one landed (bound to the base
+// corpus, as memeserve binds -in), otherwise a fresh base build, then
+// journal replay — and asserts the recovered engine is bitwise-identical to
+// a from-scratch build over the base corpus plus the journaled prefix of the
+// live tail, and that its Result holds exactly those posts. Journal contents, not child acks, are
 // the truth recovery is measured against.
 func verifyRecovery(t *testing.T, dir string, wantSeq uint64, wantBase, wantTorn bool) {
 	t.Helper()
@@ -146,7 +147,7 @@ func verifyRecovery(t *testing.T, dir string, wantSeq uint64, wantBase, wantTorn
 	}
 	var eng *memes.Engine
 	if haveBase {
-		eng, err = memes.LoadEngineFile(basePath, site)
+		eng, err = memes.LoadEngineFile(basePath, site, memes.WithDataset(base))
 	} else {
 		eng, err = memes.NewEngine(ctx, base, site)
 	}
@@ -182,6 +183,16 @@ func verifyRecovery(t *testing.T, dir string, wantSeq uint64, wantBase, wantTorn
 	}
 	if !bytes.Equal(saveBytes(t, hot.Engine()), saveBytes(t, ref)) {
 		t.Error("recovered engine diverges bitwise from a from-scratch build over base + journaled posts")
+	}
+	// The analysis endpoints read the served corpus through Result: it must
+	// be base plus every journaled post, whether replay re-clustered or only
+	// rebound a base that already folds the journal.
+	res, err := hot.Engine().TryResult()
+	if err != nil {
+		t.Fatalf("recovered engine has no bound corpus: %v", err)
+	}
+	if got := res.Dataset.Posts; len(got) != n || got[n-1].ID != full.Posts[n-1].ID {
+		t.Errorf("recovered Result holds %d posts, want base + %d journaled = %d", len(got), st.Seq, n)
 	}
 
 	// The repaired journal must also support further appends: one more batch

@@ -24,7 +24,6 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/memes-pipeline/memes/internal/dataset"
@@ -107,12 +106,7 @@ type Logger struct {
 	spare  []Decision // the drained buffer of the last flush, swapped back in by the next
 	seq    uint64
 	closed bool
-
-	logged        atomic.Uint64
-	dropped       atomic.Uint64
-	batches       atomic.Uint64
-	flushed       atomic.Uint64
-	flushFailures atomic.Uint64
+	stats  Stats // the accounting; Stats fills in Buffered
 
 	kick chan struct{} // non-blocking wake-up for the flusher
 	stop chan struct{}
@@ -179,9 +173,9 @@ func (l *Logger) LogBatch(ds []Decision) int {
 		l.buf[i].TimeUnixNS = now
 	}
 	full := len(l.buf) >= l.cfg.BatchSize
+	l.stats.Logged += uint64(n)
+	l.stats.Dropped += uint64(len(ds) - n)
 	l.mu.Unlock()
-	l.logged.Add(uint64(n))
-	l.dropped.Add(uint64(len(ds) - n))
 	if full && n > 0 {
 		select {
 		case l.kick <- struct{}{}:
@@ -191,19 +185,14 @@ func (l *Logger) LogBatch(ds []Decision) int {
 	return n
 }
 
-// Stats snapshots the logger's accounting.
+// Stats snapshots the logger's accounting. The batch and flush counters
+// move when a flush finishes its uploads.
 func (l *Logger) Stats() Stats {
 	l.mu.Lock()
-	buffered := len(l.buf)
-	l.mu.Unlock()
-	return Stats{
-		Logged:        l.logged.Load(),
-		Dropped:       l.dropped.Load(),
-		Batches:       l.batches.Load(),
-		Flushed:       l.flushed.Load(),
-		FlushFailures: l.flushFailures.Load(),
-		Buffered:      buffered,
-	}
+	defer l.mu.Unlock()
+	st := l.stats
+	st.Buffered = len(l.buf)
+	return st
 }
 
 // Flush synchronously drains the current buffer to the sink. Serving never
@@ -265,20 +254,24 @@ func (l *Logger) flush(ctx context.Context) {
 	}
 	l.mu.Unlock()
 
+	var st Stats
 	for rest := pending; len(rest) > 0; {
 		n := min(len(rest), l.cfg.BatchSize)
 		batch := rest[:n]
 		rest = rest[n:]
-		l.batches.Add(1)
+		st.Batches++
 		if err := l.cfg.Sink.Upload(ctx, batch); err != nil {
-			l.flushFailures.Add(1)
+			st.FlushFailures++
 			continue
 		}
-		l.flushed.Add(uint64(n))
+		st.Flushed += uint64(n)
 	}
 
 	l.mu.Lock()
 	l.spare = pending[:0]
+	l.stats.Batches += st.Batches
+	l.stats.Flushed += st.Flushed
+	l.stats.FlushFailures += st.FlushFailures
 	l.mu.Unlock()
 }
 

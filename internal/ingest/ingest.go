@@ -30,6 +30,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -135,27 +136,28 @@ type Receipt struct {
 	Seq uint64
 }
 
-// Stats is a point-in-time snapshot of the ingestor's counters.
+// Stats is a point-in-time snapshot of the ingestor's counters. The json
+// names are the ingest block of the server's /v1/statsz document.
 type Stats struct {
-	Ingested          int64
-	Assigned          int64
-	Rejected          int64
-	Pending           int
-	Pool              int
-	Reclusters        int64
-	ReclusterFailures int64
-	Compactions       int64
-	DeltaSegments     int
-	Seq               uint64
+	Ingested          int64  `json:"ingested"`
+	Assigned          int64  `json:"assigned"`
+	Rejected          int64  `json:"rejected"`
+	Pending           int    `json:"pending"`
+	Pool              int    `json:"pool"`
+	Reclusters        int64  `json:"reclusters"`
+	ReclusterFailures int64  `json:"recluster_failures"`
+	Compactions       int64  `json:"compactions"`
+	DeltaSegments     int    `json:"delta_segments"`
+	Seq               uint64 `json:"seq"`
 	// JournalRetries counts individual journal append retries (backoff
 	// sleeps); JournalFailures counts batches refused after the whole retry
 	// budget; TornTails counts torn journal tails repaired during Replay.
-	JournalRetries  int64
-	JournalFailures int64
-	TornTails       int64
+	JournalRetries  int64 `json:"journal_retries"`
+	JournalFailures int64 `json:"journal_failures"`
+	TornTails       int64 `json:"torn_tails"`
 	// Degraded reports read-only mode: the last journal append exhausted its
 	// retry budget and no append has succeeded since.
-	Degraded bool
+	Degraded bool `json:"degraded"`
 }
 
 // Ingestor absorbs posts at runtime; see the package comment. Construct with
@@ -181,15 +183,9 @@ type Ingestor struct {
 	broken   bool // torn bytes could not be rolled back; journal unusable
 	wg       sync.WaitGroup
 
-	ingested          int64
-	assigned          int64
-	rejected          int64
-	reclusters        int64
-	reclusterFailures int64
-	compactions       int64
-	journalRetries    int64
-	journalFailures   int64
-	tornTails         int64
+	// stats holds the event counters; Stats fills in the levels (pending,
+	// pool, segments, seq, degraded) from the fields above.
+	stats Stats
 }
 
 // New wraps an incremental pipeline state in an Ingestor. The state must be
@@ -260,18 +256,24 @@ func (g *Ingestor) Ingest(ctx context.Context, posts []dataset.Post) (Receipt, e
 		return Receipt{}, ErrClosed
 	}
 	if len(g.pool)+len(posts) > g.cfg.MaxPending {
-		g.rejected += int64(len(posts))
+		g.stats.Rejected += int64(len(posts))
+		// Posts that match already never raise pending, yet they hold pool
+		// slots until a re-cluster folds them in: drain now, or a stream of
+		// them is refused forever.
+		if len(g.pool) > 0 {
+			g.scheduleLocked()
+		}
 		return Receipt{}, ErrPoolFull
 	}
 	if err := g.journalLocked(ctx, posts); err != nil {
-		g.rejected += int64(len(posts))
+		g.stats.Rejected += int64(len(posts))
 		return Receipt{}, err
 	}
 	g.seq += uint64(len(posts))
 	g.pool = append(g.pool, posts...)
 	g.pending += needy
-	g.ingested += int64(len(posts))
-	g.assigned += int64(assigned)
+	g.stats.Ingested += int64(len(posts))
+	g.stats.Assigned += int64(assigned)
 
 	triggered := false
 	if g.pending >= g.cfg.Threshold {
@@ -303,7 +305,7 @@ func (g *Ingestor) journalLocked(ctx context.Context, posts []dataset.Post) erro
 	var lastErr error
 	for attempt := 0; attempt < g.cfg.JournalAttempts; attempt++ {
 		if attempt > 0 {
-			g.journalRetries++
+			g.stats.JournalRetries++
 			backoff := g.cfg.JournalBackoff << (attempt - 1)
 			if backoff > maxJournalBackoff {
 				backoff = maxJournalBackoff
@@ -325,7 +327,7 @@ func (g *Ingestor) journalLocked(ctx context.Context, posts []dataset.Post) erro
 		}
 	}
 	g.degraded = true
-	g.journalFailures++
+	g.stats.JournalFailures++
 	return fmt.Errorf("%w: %d attempts exhausted: %w", ErrJournalDegraded, g.cfg.JournalAttempts, lastErr)
 }
 
@@ -442,7 +444,7 @@ func (g *Ingestor) Recluster(ctx context.Context) error {
 		// The posts are absorbed (inc is consistent); flag a retry so the
 		// next trigger rebuilds even with an empty pool.
 		g.mu.Lock()
-		g.reclusterFailures++
+		g.stats.ReclusterFailures++
 		g.needs = true
 		g.mu.Unlock()
 		return err
@@ -452,7 +454,7 @@ func (g *Ingestor) Recluster(ctx context.Context) error {
 	_ = faults.Inject("recluster.publish")
 	g.cfg.Publish(b)
 	g.mu.Lock()
-	g.reclusters++
+	g.stats.Reclusters++
 	g.mu.Unlock()
 
 	if g.cfg.DeltaDir != "" && sealed >= g.cfg.CompactAfter {
@@ -549,9 +551,9 @@ func (g *Ingestor) compact(ctx context.Context, cur *pipeline.BuildResult, folde
 	}
 
 	g.mu.Lock()
-	g.compactions++
+	g.stats.Compactions++
 	g.segs -= removed
-	if !containsName(merged, headName) {
+	if !slices.Contains(merged, headName) {
 		g.segs++ // first compaction creates the head segment
 	}
 	g.mu.Unlock()
@@ -659,7 +661,7 @@ func (g *Ingestor) Replay(ctx context.Context, folded uint64) (int, error) {
 		}
 		g.cfg.Publish(b)
 		g.mu.Lock()
-		g.reclusters++
+		g.stats.Reclusters++
 		g.mu.Unlock()
 	} else if len(posts) > 0 {
 		g.cfg.Rebind(g.inc.UnionDataset())
@@ -667,8 +669,8 @@ func (g *Ingestor) Replay(ctx context.Context, folded uint64) (int, error) {
 	g.mu.Lock()
 	g.seq = covered
 	g.segs = segs
-	g.ingested += int64(len(posts))
-	g.tornTails += torn
+	g.stats.Ingested += int64(len(posts))
+	g.stats.TornTails += torn
 	g.mu.Unlock()
 	return len(posts), nil
 }
@@ -685,22 +687,13 @@ func (g *Ingestor) Degraded() bool {
 func (g *Ingestor) Stats() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return Stats{
-		Ingested:          g.ingested,
-		Assigned:          g.assigned,
-		Rejected:          g.rejected,
-		Pending:           g.pending,
-		Pool:              len(g.pool),
-		Reclusters:        g.reclusters,
-		ReclusterFailures: g.reclusterFailures,
-		Compactions:       g.compactions,
-		DeltaSegments:     g.segs,
-		Seq:               g.seq,
-		JournalRetries:    g.journalRetries,
-		JournalFailures:   g.journalFailures,
-		TornTails:         g.tornTails,
-		Degraded:          g.degraded || g.broken,
-	}
+	st := g.stats
+	st.Pending = g.pending
+	st.Pool = len(g.pool)
+	st.DeltaSegments = g.segs
+	st.Seq = g.seq
+	st.Degraded = g.degraded || g.broken
+	return st
 }
 
 // Close stops accepting ingests, waits for the background re-cluster to
@@ -793,16 +786,6 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 		seq = seq*10 + uint64(c-'0')
 	}
 	return seq, true
-}
-
-// containsName reports whether names contains name.
-func containsName(names []string, name string) bool {
-	for _, n := range names {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // writeFileAtomic writes data to path via a temp file and rename, so readers

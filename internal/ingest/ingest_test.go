@@ -391,6 +391,73 @@ func TestIngestBackpressureAndValidation(t *testing.T) {
 	}
 }
 
+// TestIngestMatchedRepostsDrainThePool pins the pool-full livelock away: a
+// stream of re-posts of images that already match never raises the
+// re-cluster trigger (nothing in it needs a new cluster), yet every post
+// still occupies the pool until a re-cluster folds it in. A batch refused
+// for a full pool must therefore schedule the drain, so a client that
+// retries its refused batches gets every one accepted.
+func TestIngestMatchedRepostsDrainThePool(t *testing.T) {
+	_, base, _, site := carve(t, 1)
+	g, cur, _ := harness(t, base, site, Config{Threshold: 5}) // MaxPending 40
+	ctx := context.Background()
+
+	var reposts []dataset.Post
+	for i := 0; len(reposts) < 200 && i < len(base.Posts); i++ {
+		p := base.Posts[i]
+		if !p.HasImage {
+			continue
+		}
+		if _, ok, err := cur.Load().MatchCtx(ctx, p.PHash()); err != nil || !ok {
+			continue
+		}
+		p.ID = int64(1_000_000_000 + len(reposts))
+		reposts = append(reposts, p)
+	}
+	if len(reposts) < 200 {
+		t.Fatalf("only %d matching image posts in the base corpus", len(reposts))
+	}
+
+	refused := 0
+	for b := 0; b < 20; b++ {
+		batch := reposts[b*10 : (b+1)*10]
+		for {
+			_, err := g.Ingest(ctx, batch)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, ErrPoolFull) {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+			refused++
+			// With no drain in flight and the pool still too full, no retry
+			// can ever succeed: that is the livelock.
+			g.mu.Lock()
+			stuck := !g.inFlight && len(g.pool)+len(batch) > g.cfg.MaxPending
+			g.mu.Unlock()
+			if stuck {
+				t.Fatalf("batch %d refused with no drain scheduled; stats %+v", b, g.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no batch was refused: the pool never filled, so the test proves nothing")
+	}
+	// The tail below MaxPending waits for the next trigger like any pooled
+	// post; a synchronous re-cluster folds it in.
+	if err := g.Recluster(ctx); err != nil {
+		t.Fatalf("Recluster: %v", err)
+	}
+	st := g.Stats()
+	if st.Ingested != 200 || st.Assigned != 200 || st.Pool != 0 || st.Reclusters == 0 {
+		t.Errorf("stats after the stream: %+v", st)
+	}
+	if got, want := len(cur.Load().Dataset.Posts), len(base.Posts)+200; got != want {
+		t.Errorf("published corpus holds %d posts, want base + 200 = %d", got, want)
+	}
+}
+
 // TestIngestConfigValidation pins the constructor contract.
 func TestIngestConfigValidation(t *testing.T) {
 	_, base, _, site := carve(t, 5)

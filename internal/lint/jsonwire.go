@@ -15,6 +15,9 @@ import (
 // added field can never silently change the wire format to Go's default
 // CamelCase.
 //
+// internal/ingest is in scope too: its Stats type carries the wire names of
+// /v1/statsz's ingest block, which the server embeds.
+//
 // Wire structs are found by seeding from (a) arguments of encoding/json
 // calls (Marshal, Unmarshal, Encode, Decode, ...) and (b) any struct
 // declaring at least one json-tagged field, then closing transitively over
@@ -32,7 +35,7 @@ import (
 // that is not {"error": ..., "reason": ...}.
 var JSONWire = &Analyzer{
 	Name: "jsonwire",
-	Doc:  "requires explicit snake_case json tags on structs serialized by server, cli, and declog, and the shared writeJSON/writeError/writeRaw helpers in handlers",
+	Doc:  "requires explicit snake_case json tags on structs serialized by server, cli, declog, and ingest, and the shared writeJSON/writeError/writeRaw helpers in handlers",
 	Run:  runJSONWire,
 }
 

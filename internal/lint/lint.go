@@ -259,11 +259,13 @@ func inCtxFlowScope(path string) bool {
 }
 
 // jsonWireScopes are the packages whose structs define the HTTP and CLI
-// wire formats.
+// wire formats. internal/ingest is one because its Stats type declares the
+// wire names of /v1/statsz's ingest block.
 var jsonWireScopes = []string{
 	"internal/server",
 	"internal/cli",
 	"internal/declog",
+	"internal/ingest",
 }
 
 // inJSONWireScope gates jsonwire.

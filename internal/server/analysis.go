@@ -25,7 +25,6 @@ import (
 // influence matrices for one meme group. The fits parallelize across memes
 // and stop promptly when the request is cancelled or times out.
 func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
-	s.stats.influenceRequests.Add(1)
 	var req influenceRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		s.writeError(w, http.StatusBadRequest, reasonBadRequest, "decoding request: "+err.Error())
@@ -80,7 +79,6 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 // after a reload pays the render; concurrent first requests may render
 // twice, both producing identical documents.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	s.stats.reportRequests.Add(1)
 	eng, gen := s.hot.Pin()
 	res, err := eng.TryResult()
 	if err != nil {

@@ -400,3 +400,43 @@ func TestReadyzLifecycle(t *testing.T) {
 		t.Fatalf("healthz after Close: status %d (liveness must outlast readiness)", code)
 	}
 }
+
+// TestUnroutedRequestsAreNotEndpointTraffic pins what a request that
+// reaches no route does: a wrong method (405) and an unknown path (404) are
+// answered by the mux, not by an endpoint, so they count as no endpoint's
+// request, feed no endpoint's histogram, and are not shed even when every
+// admission slot is taken.
+func TestUnroutedRequestsAreNotEndpointTraffic(t *testing.T) {
+	e := newTestEnvCfg(t, func(c *Config) { c.MaxInFlight = 1 })
+	unrouted := func() {
+		t.Helper()
+		if code, _ := e.do(t, http.MethodGet, "/v1/match", nil, nil); code != http.StatusMethodNotAllowed {
+			t.Fatalf("GET /v1/match = %d, want 405", code)
+		}
+		if code, _ := e.do(t, http.MethodGet, "/v1/nope", nil, nil); code != http.StatusNotFound {
+			t.Fatalf("GET /v1/nope = %d, want 404", code)
+		}
+	}
+	unrouted()
+	var stats StatsDoc
+	if code, _ := e.do(t, http.MethodGet, "/v1/statsz", nil, &stats); code != http.StatusOK {
+		t.Fatalf("statsz status = %d", code)
+	}
+	if stats.Requests.Match != 0 {
+		t.Errorf("statsz requests.match = %d after unrouted requests, want 0", stats.Requests.Match)
+	}
+	_, raw := e.do(t, http.MethodGet, "/v1/metrics", nil, nil)
+	if n := parseExposition(t, string(raw))[`memes_request_duration_seconds_count{endpoint="match"}`]; n != 0 {
+		t.Errorf("match histogram observed %v unrouted requests, want 0", n)
+	}
+
+	e.srv.sem <- struct{}{} // the bound is full
+	unrouted()
+	<-e.srv.sem
+	if code, _ := e.do(t, http.MethodGet, "/v1/statsz", nil, &stats); code != http.StatusOK {
+		t.Fatalf("statsz status = %d", code)
+	}
+	if stats.Overload.Shed != 0 {
+		t.Errorf("statsz overload.shed = %d after unrouted requests, want 0", stats.Overload.Shed)
+	}
+}

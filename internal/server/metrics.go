@@ -8,176 +8,120 @@ import (
 	"github.com/memes-pipeline/memes/internal/metrics"
 )
 
-// observability holds the per-endpoint latency histograms behind
-// GET /v1/metrics. The histograms are created once at server construction
-// and observed lock-free on the request path; everything else the endpoint
-// emits renders directly from the same atomic counters /v1/statsz reads,
-// which is what makes the two endpoints agree by construction.
-type observability struct {
-	endpoints []obsEndpoint
-}
-
-type obsEndpoint struct {
-	path  string
-	label string
-	hist  *metrics.Histogram
-}
-
-func (o *observability) init() {
-	for _, e := range []struct{ path, label string }{
-		{"/v1/associate", "associate"},
-		{"/v1/match", "match"},
-		{"/v1/match/image", "match_image"},
-		{"/v1/ingest", "ingest"},
-		{"/v1/influence", "influence"},
-		{"/v1/report", "report"},
-		{"/v1/clusters", "clusters"},
-		{"/v1/admin/reload", "reload"},
-	} {
-		o.endpoints = append(o.endpoints, obsEndpoint{path: e.path, label: e.label, hist: metrics.NewHistogram()})
-	}
-}
-
-// histFor returns the histogram observing a path, or nil for paths not
-// tracked (health/stats/metrics — scrape traffic would only add noise).
-func (o *observability) histFor(path string) *metrics.Histogram {
-	for i := range o.endpoints {
-		if o.endpoints[i].path == path {
-			return o.endpoints[i].hist
-		}
-	}
-	return nil
-}
-
-// withObservation is the innermost middleware: it times each tracked
-// request over the handler (inside the deadline and admission layers, so a
-// shed request is not an observation) and feeds the endpoint's latency
-// histogram.
-func (s *Server) withObservation(next http.Handler) http.Handler {
+// observe counts each request of a labelled endpoint and times it over the
+// handler into the endpoint's latency histogram. It is the innermost layer
+// (inside the deadline and admission layers, so a shed request is neither a
+// request of the endpoint nor an observation), and it allocates nothing.
+func (ep *endpoint) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h := s.obs.histFor(r.URL.Path)
-		if h == nil {
-			next.ServeHTTP(w, r)
-			return
-		}
+		ep.requests.Add(1)
 		start := time.Now()
 		next.ServeHTTP(w, r)
-		h.Observe(time.Since(start).Seconds())
+		ep.latency.Observe(time.Since(start).Seconds())
 	})
 }
 
-// handleMetrics answers GET /v1/metrics in the Prometheus text exposition
-// format. Counters render from the exact atomics /v1/statsz renders, so
-// the two views cannot drift; histograms come from the observation
-// middleware. The endpoint is observability-exempt: it bypasses admission
-// control and deadlines, because an operator must be able to scrape an
-// overloaded node.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.stats.metricsRequests.Add(1)
-	eng, gen := s.hot.Pin()
+// A family's kind is the encoder method that writes its HELP and TYPE lines.
+var counter, gauge = (*metrics.Encoder).Counter, (*metrics.Encoder).Gauge
 
+// family is one counter or gauge of /v1/metrics, read off the StatsDoc
+// snapshot /v1/statsz writes. on gates a subsystem's families (nil: always
+// rendered); a family has one sample per entry of samples.
+type family struct {
+	name    string
+	kind    func(e *metrics.Encoder, name, help string)
+	help    string
+	on      func(d *StatsDoc) bool
+	samples []sample
+}
+
+// sample is one series of a family: its labels and how to read its value.
+type sample struct {
+	labels []metrics.Label
+	value  func(d *StatsDoc) float64
+}
+
+// one is the single unlabelled sample of a family.
+func one(value func(d *StatsDoc) float64) []sample { return []sample{{value: value}} }
+
+func ingestOn(d *StatsDoc) bool      { return d.Ingest.Enabled }
+func decisionLogOn(d *StatsDoc) bool { return d.DecisionLog.Enabled }
+
+func outcome(v string) []metrics.Label { return []metrics.Label{{Name: "outcome", Value: v}} }
+
+// families is every counter and gauge of /v1/metrics besides the
+// per-endpoint request counters, in exposition order.
+var families = []family{
+	{"memes_errors_total", counter, "Requests answered with a non-2xx status.", nil, one(func(d *StatsDoc) float64 { return float64(d.Requests.Errors) })},
+	{"memes_match_total", counter, "Single-hash lookups, by outcome.", nil, []sample{
+		{outcome("matched"), func(d *StatsDoc) float64 { return float64(d.Match.Matched) }},
+		{outcome("missed"), func(d *StatsDoc) float64 { return float64(d.Match.Missed) }},
+	}},
+	{"memes_associate_posts_total", counter, "Posts received by /v1/associate.", nil, one(func(d *StatsDoc) float64 { return float64(d.Associate.Posts) })},
+	{"memes_associations_total", counter, "Associations returned by /v1/associate.", nil, one(func(d *StatsDoc) float64 { return float64(d.Associate.Associations) })},
+	{"memes_overload_shed_total", counter, "Requests refused by admission control.", nil, one(func(d *StatsDoc) float64 { return float64(d.Overload.Shed) })},
+	{"memes_request_timeouts_total", counter, "Requests answered 504 after their deadline.", nil, one(func(d *StatsDoc) float64 { return float64(d.Overload.Timeouts) })},
+	{"memes_handler_panics_total", counter, "Handler panics contained by the recovery middleware.", nil, one(func(d *StatsDoc) float64 { return float64(d.Overload.Panics) })},
+	{"memes_inflight_requests", gauge, "Requests currently holding an admission slot.", nil, one(func(d *StatsDoc) float64 { return float64(d.Overload.InFlight) })},
+	{"memes_max_inflight_requests", gauge, "Admission-control bound; 0 when disabled.", nil, one(func(d *StatsDoc) float64 { return float64(d.Overload.MaxInFlight) })},
+	{"memes_reloads_total", counter, "Successful hot swaps.", nil, one(func(d *StatsDoc) float64 { return float64(d.Reloads) })},
+	{"memes_engine_generation", gauge, "Hot-swap generation currently serving.", nil, one(func(d *StatsDoc) float64 { return float64(d.Generation) })},
+	{"memes_snapshot_version", gauge, "MEMESNAP format version of the resident artifact; 0 for in-memory builds.", nil, one(func(d *StatsDoc) float64 { return float64(d.SnapshotVersion) })},
+	{"memes_clusters", gauge, "Clusters in the resident artifact.", nil, one(func(d *StatsDoc) float64 { return float64(d.Clusters) })},
+	{"memes_annotated_clusters", gauge, "Annotated clusters the Step 6 index serves.", nil, one(func(d *StatsDoc) float64 { return float64(d.AnnotatedClusters) })},
+	{"memes_uptime_seconds", gauge, "Seconds since the server started.", nil, one(func(d *StatsDoc) float64 { return d.UptimeMS / 1e3 })},
+	{"memes_ingest_posts_total", counter, "Posts accepted by streaming ingest.", ingestOn, one(func(d *StatsDoc) float64 { return float64(d.Ingest.Ingested) })},
+	{"memes_ingest_assigned_total", counter, "Ingested posts assigned to a resident cluster.", ingestOn, one(func(d *StatsDoc) float64 { return float64(d.Ingest.Assigned) })},
+	{"memes_ingest_rejected_total", counter, "Ingest posts rejected.", ingestOn, one(func(d *StatsDoc) float64 { return float64(d.Ingest.Rejected) })},
+	{"memes_ingest_pending", gauge, "Posts awaiting the next threshold-triggered re-cluster.", ingestOn, one(func(d *StatsDoc) float64 { return float64(d.Ingest.Pending) })},
+	{"memes_ingest_reclusters_total", counter, "Incremental re-clusters run.", ingestOn, one(func(d *StatsDoc) float64 { return float64(d.Ingest.Reclusters) })},
+	{"memes_ingest_recluster_failures_total", counter, "Incremental re-clusters that failed.", ingestOn, one(func(d *StatsDoc) float64 { return float64(d.Ingest.ReclusterFailures) })},
+	{"memes_ingest_compactions_total", counter, "Delta-journal compactions.", ingestOn, one(func(d *StatsDoc) float64 { return float64(d.Ingest.Compactions) })},
+	{"memes_ingest_journal_failures_total", counter, "Journal writes that exhausted their retries.", ingestOn, one(func(d *StatsDoc) float64 { return float64(d.Ingest.JournalFailures) })},
+	{"memes_degraded", gauge, "1 when the ingest journal is degraded (read-only serving).", nil, one(func(d *StatsDoc) float64 {
+		if d.Degraded {
+			return 1
+		}
+		return 0
+	})},
+	{"memes_decision_log_logged_total", counter, "Decisions accepted into the log buffer.", decisionLogOn, one(func(d *StatsDoc) float64 { return float64(d.DecisionLog.Logged) })},
+	{"memes_decision_log_dropped_total", counter, "Decisions dropped because the buffer was full.", decisionLogOn, one(func(d *StatsDoc) float64 { return float64(d.DecisionLog.Dropped) })},
+	{"memes_decision_log_batches_total", counter, "Decision batches uploaded to the sink.", decisionLogOn, one(func(d *StatsDoc) float64 { return float64(d.DecisionLog.Batches) })},
+	{"memes_decision_log_flushed_total", counter, "Decisions successfully flushed to the sink.", decisionLogOn, one(func(d *StatsDoc) float64 { return float64(d.DecisionLog.Flushed) })},
+	{"memes_decision_log_flush_failures_total", counter, "Failed sink uploads.", decisionLogOn, one(func(d *StatsDoc) float64 { return float64(d.DecisionLog.FlushFailures) })},
+	{"memes_decision_log_buffered", gauge, "Decisions currently awaiting flush.", decisionLogOn, one(func(d *StatsDoc) float64 { return float64(d.DecisionLog.Buffered) })},
+}
+
+// handleMetrics answers GET /v1/metrics in the Prometheus text exposition
+// format, rendered from one statsDoc snapshot: the per-endpoint request
+// counters, the families table, then the per-endpoint latency histograms.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	d := s.statsDoc()
 	var buf bytes.Buffer
 	e := metrics.NewEncoder(&buf)
 
-	e.Counter("memes_requests_total", "Requests received, by endpoint.")
-	for _, rc := range []struct {
-		endpoint string
-		v        int64
-	}{
-		{"associate", s.stats.associateRequests.Load()},
-		{"match", s.stats.matchRequests.Load()},
-		{"match_image", s.stats.matchImageRequests.Load()},
-		{"ingest", s.stats.ingestRequests.Load()},
-		{"reload", s.stats.reloadRequests.Load()},
-		{"influence", s.stats.influenceRequests.Load()},
-		{"report", s.stats.reportRequests.Load()},
-		{"metrics", s.stats.metricsRequests.Load()},
-	} {
-		e.Sample("memes_requests_total", []metrics.Label{{Name: "endpoint", Value: rc.endpoint}}, float64(rc.v))
-	}
-
-	e.Counter("memes_errors_total", "Requests answered with a non-2xx status.")
-	e.Sample("memes_errors_total", nil, float64(s.stats.errors.Load()))
-
-	e.Counter("memes_match_total", "Single-hash lookups, by outcome.")
-	e.Sample("memes_match_total", []metrics.Label{{Name: "outcome", Value: "matched"}}, float64(s.stats.matched.Load()))
-	e.Sample("memes_match_total", []metrics.Label{{Name: "outcome", Value: "missed"}}, float64(s.stats.missed.Load()))
-
-	e.Counter("memes_associate_posts_total", "Posts received by /v1/associate.")
-	e.Sample("memes_associate_posts_total", nil, float64(s.stats.associatedPosts.Load()))
-	e.Counter("memes_associations_total", "Associations returned by /v1/associate.")
-	e.Sample("memes_associations_total", nil, float64(s.stats.associations.Load()))
-
-	e.Counter("memes_overload_shed_total", "Requests refused by admission control.")
-	e.Sample("memes_overload_shed_total", nil, float64(s.stats.shed.Load()))
-	e.Counter("memes_request_timeouts_total", "Requests answered 504 after their deadline.")
-	e.Sample("memes_request_timeouts_total", nil, float64(s.stats.timeouts.Load()))
-	e.Counter("memes_handler_panics_total", "Handler panics contained by the recovery middleware.")
-	e.Sample("memes_handler_panics_total", nil, float64(s.stats.panics.Load()))
-	e.Gauge("memes_inflight_requests", "Requests currently holding an admission slot.")
-	e.Sample("memes_inflight_requests", nil, float64(len(s.sem)))
-	e.Gauge("memes_max_inflight_requests", "Admission-control bound; 0 when disabled.")
-	e.Sample("memes_max_inflight_requests", nil, float64(cap(s.sem)))
-
-	e.Counter("memes_reloads_total", "Successful hot swaps.")
-	e.Sample("memes_reloads_total", nil, float64(s.stats.reloads.Load()))
-	e.Gauge("memes_engine_generation", "Hot-swap generation currently serving.")
-	e.Sample("memes_engine_generation", nil, float64(gen))
-	e.Gauge("memes_snapshot_version", "MEMESNAP format version of the resident artifact; 0 for in-memory builds.")
-	e.Sample("memes_snapshot_version", nil, float64(eng.SnapshotVersion()))
-	e.Gauge("memes_clusters", "Clusters in the resident artifact.")
-	e.Sample("memes_clusters", nil, float64(len(eng.Clusters())))
-	e.Gauge("memes_annotated_clusters", "Annotated clusters the Step 6 index serves.")
-	e.Sample("memes_annotated_clusters", nil, float64(annotatedCount(eng)))
-	e.Gauge("memes_uptime_seconds", "Seconds since the server started.")
-	e.Sample("memes_uptime_seconds", nil, time.Since(s.started).Seconds())
-
-	degraded := 0.0
-	if s.ingestor != nil {
-		st := s.ingestor.Stats()
-		if st.Degraded {
-			degraded = 1
+	const requests, latency = "memes_requests_total", "memes_request_duration_seconds"
+	e.Counter(requests, "Requests received, by endpoint.")
+	for i := range s.endpoints {
+		if ep := &s.endpoints[i]; ep.count != nil {
+			e.Sample(requests, ep.labels, float64(*ep.count(&d.Requests)))
 		}
-		e.Counter("memes_ingest_posts_total", "Posts accepted by streaming ingest.")
-		e.Sample("memes_ingest_posts_total", nil, float64(st.Ingested))
-		e.Counter("memes_ingest_assigned_total", "Ingested posts assigned to a resident cluster.")
-		e.Sample("memes_ingest_assigned_total", nil, float64(st.Assigned))
-		e.Counter("memes_ingest_rejected_total", "Ingest posts rejected.")
-		e.Sample("memes_ingest_rejected_total", nil, float64(st.Rejected))
-		e.Gauge("memes_ingest_pending", "Posts awaiting the next threshold-triggered re-cluster.")
-		e.Sample("memes_ingest_pending", nil, float64(st.Pending))
-		e.Counter("memes_ingest_reclusters_total", "Incremental re-clusters run.")
-		e.Sample("memes_ingest_reclusters_total", nil, float64(st.Reclusters))
-		e.Counter("memes_ingest_recluster_failures_total", "Incremental re-clusters that failed.")
-		e.Sample("memes_ingest_recluster_failures_total", nil, float64(st.ReclusterFailures))
-		e.Counter("memes_ingest_compactions_total", "Delta-journal compactions.")
-		e.Sample("memes_ingest_compactions_total", nil, float64(st.Compactions))
-		e.Counter("memes_ingest_journal_failures_total", "Journal writes that exhausted their retries.")
-		e.Sample("memes_ingest_journal_failures_total", nil, float64(st.JournalFailures))
 	}
-	e.Gauge("memes_degraded", "1 when the ingest journal is degraded (read-only serving).")
-	e.Sample("memes_degraded", nil, degraded)
-
-	if s.declog != nil {
-		st := s.declog.Stats()
-		e.Counter("memes_decision_log_logged_total", "Decisions accepted into the log buffer.")
-		e.Sample("memes_decision_log_logged_total", nil, float64(st.Logged))
-		e.Counter("memes_decision_log_dropped_total", "Decisions dropped because the buffer was full.")
-		e.Sample("memes_decision_log_dropped_total", nil, float64(st.Dropped))
-		e.Counter("memes_decision_log_batches_total", "Decision batches uploaded to the sink.")
-		e.Sample("memes_decision_log_batches_total", nil, float64(st.Batches))
-		e.Counter("memes_decision_log_flushed_total", "Decisions successfully flushed to the sink.")
-		e.Sample("memes_decision_log_flushed_total", nil, float64(st.Flushed))
-		e.Counter("memes_decision_log_flush_failures_total", "Failed sink uploads.")
-		e.Sample("memes_decision_log_flush_failures_total", nil, float64(st.FlushFailures))
-		e.Gauge("memes_decision_log_buffered", "Decisions currently awaiting flush.")
-		e.Sample("memes_decision_log_buffered", nil, float64(st.Buffered))
+	for i := range families {
+		f := &families[i]
+		if f.on != nil && !f.on(&d) {
+			continue
+		}
+		f.kind(e, f.name, f.help)
+		for _, smp := range f.samples {
+			e.Sample(f.name, smp.labels, smp.value(&d))
+		}
 	}
-
-	e.HistogramType("memes_request_duration_seconds", "Request latency over the handler, by endpoint.")
-	for i := range s.obs.endpoints {
-		ep := &s.obs.endpoints[i]
-		ep.hist.Write(e, "memes_request_duration_seconds", []metrics.Label{{Name: "endpoint", Value: ep.label}})
+	e.HistogramType(latency, "Request latency over the handler, by endpoint.")
+	for i := range s.endpoints {
+		if ep := &s.endpoints[i]; ep.count != nil {
+			ep.latency.Write(e, latency, ep.labels)
+		}
 	}
 
 	if err := e.Err(); err != nil {

@@ -22,9 +22,13 @@
 //	GET  /v1/healthz                                liveness + resident artifact shape
 //	GET  /v1/readyz                                 readiness (engine resident ∧ journal writable)
 //	GET  /v1/statsz                                 request/build/ingest/overload counters
-//	GET  /v1/metrics                                Prometheus text-format exposition
+//	GET  /v1/metrics                                the same snapshot as Prometheus text
 //	GET  /v1/clusters                               the annotated-cluster artifact
 //	POST /v1/admin/reload                           hot-swap a fresh snapshot
+//
+// The routes table declares each endpoint once (pattern, label, class,
+// handler), and Handler registers it; statsDoc is the one snapshot both
+// /v1/statsz and /v1/metrics render.
 //
 // Request/response shapes live in wire.go — the de-facto API spec. A JSON
 // body is read whole and must be one value: trailing bytes are a 400, a body
@@ -57,8 +61,8 @@ import (
 	"time"
 
 	"github.com/memes-pipeline/memes"
-	"github.com/memes-pipeline/memes/internal/cli"
 	"github.com/memes-pipeline/memes/internal/declog"
+	"github.com/memes-pipeline/memes/internal/metrics"
 	"github.com/memes-pipeline/memes/internal/phash"
 )
 
@@ -86,12 +90,13 @@ type Config struct {
 	// feeds (typically memes.NewIngestor over the serving corpus). Nil
 	// disables the endpoint (503).
 	Ingest func(*memes.HotEngine) (*memes.Ingestor, error)
-	// MaxInFlight bounds concurrently admitted requests (health and stats
-	// endpoints are exempt); 0 means DefaultMaxInFlight, negative disables
-	// admission control.
+	// MaxInFlight bounds concurrently admitted requests (the probe
+	// endpoints are exempt; see routes); 0 means DefaultMaxInFlight,
+	// negative disables admission control.
 	MaxInFlight int
-	// RequestTimeout is the deadline applied to each query/ingest request's
-	// context; 0 means DefaultRequestTimeout, negative disables it.
+	// RequestTimeout is the deadline applied to each query-class request's
+	// context (ingest included); 0 means DefaultRequestTimeout, negative
+	// disables it.
 	RequestTimeout time.Duration
 	// DecisionLog, when set, receives one declog.Decision per served
 	// association and match lookup — the replayable traffic stream. The
@@ -120,7 +125,7 @@ type Server struct {
 	closed     atomic.Bool   // Close ran; readiness is permanently false
 
 	declog    *declog.Logger // decision stream; nil disables capture
-	obs       observability  // per-endpoint latency histograms for /v1/metrics
+	endpoints []endpoint     // routes, as served by this Server
 	noMetrics bool           // GET /v1/metrics unregistered
 
 	reportMu  sync.Mutex // guards the per-generation report cache
@@ -158,7 +163,15 @@ func New(cfg Config) (*Server, error) {
 		declog:     cfg.DecisionLog,
 		noMetrics:  cfg.DisableMetrics,
 	}
-	s.obs.init()
+	s.endpoints = make([]endpoint, len(routes))
+	for i, rt := range routes {
+		ep := &s.endpoints[i]
+		ep.route = rt
+		if rt.count != nil {
+			ep.latency = metrics.NewHistogram()
+			ep.labels = []metrics.Label{{Name: "endpoint", Value: rt.label}}
+		}
+	}
 	if maxInFlight > 0 {
 		s.sem = make(chan struct{}, maxInFlight)
 	}
@@ -221,56 +234,95 @@ func (s *Server) Close() {
 	}
 }
 
-// Handler returns the server's HTTP handler. Method routing relies on the
-// stdlib mux, so wrong-method requests get 405 with an Allow header. The mux
-// sits behind the hardening middleware — innermost to outermost: per-request
-// deadline, bounded-in-flight admission control, panic recovery — so an
-// overloaded, slow, or crashing handler degrades to clean error responses
-// instead of taking the process down. Health, readiness, and stats endpoints
-// bypass the deadline and admission layers: an operator must be able to
-// observe an overloaded node.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/associate", s.handleAssociate)
-	mux.HandleFunc("POST /v1/match", s.handleMatch)
-	mux.HandleFunc("POST /v1/match/image", s.handleMatchImage)
-	mux.HandleFunc("POST /v1/influence", s.handleInfluence)
-	mux.HandleFunc("GET /v1/report", s.handleReport)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	mux.HandleFunc("GET /v1/statsz", s.handleStatsz)
-	if !s.noMetrics {
-		mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	}
-	mux.HandleFunc("GET /v1/clusters", s.handleClusters)
-	mux.HandleFunc("POST /v1/ingest", s.handleIngest)
-	mux.HandleFunc("POST /v1/admin/reload", s.handleReload)
-	return s.withRecovery(s.withAdmission(s.withDeadline(s.withObservation(mux))))
+// routeClass says which hardening layers an endpoint runs behind.
+type routeClass uint8
+
+const (
+	// probe endpoints skip admission and the deadline: an operator must be
+	// able to observe an overloaded or degraded node.
+	probe routeClass = iota
+	// reload is admitted but has no deadline: swapping a large snapshot in
+	// legitimately outlives a query deadline.
+	reload
+	// query endpoints are admitted and bounded by the per-request deadline.
+	query
+)
+
+// route declares one endpoint of the API: its mux pattern, its label, its
+// class and its handler. A route with a count selector counts its requests
+// into that RequestStats field (statsz requests.<label>,
+// memes_requests_total{endpoint="<label>"}) and observes its latency
+// (memes_request_duration_seconds); the probes without one do neither.
+type route struct {
+	pattern string
+	label   string
+	class   routeClass
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+	count   func(*RequestStats) *int64
 }
 
-// observabilityExempt reports whether the path must stay reachable on an
-// overloaded or degraded node.
-func observabilityExempt(path string) bool {
-	switch path {
-	case "/v1/healthz", "/v1/readyz", "/v1/statsz", "/v1/metrics":
-		return true
+// routes is the API, one row per endpoint; Handler registers them in order.
+var routes = [...]route{
+	{"POST /v1/associate", "associate", query, (*Server).handleAssociate, func(r *RequestStats) *int64 { return &r.Associate }},
+	{"POST /v1/match", "match", query, (*Server).handleMatch, func(r *RequestStats) *int64 { return &r.Match }},
+	{"POST /v1/match/image", "match_image", query, (*Server).handleMatchImage, func(r *RequestStats) *int64 { return &r.MatchImage }},
+	{"POST /v1/ingest", "ingest", query, (*Server).handleIngest, func(r *RequestStats) *int64 { return &r.Ingest }},
+	{"POST /v1/influence", "influence", query, (*Server).handleInfluence, func(r *RequestStats) *int64 { return &r.Influence }},
+	{"GET /v1/report", "report", query, (*Server).handleReport, func(r *RequestStats) *int64 { return &r.Report }},
+	{"GET /v1/clusters", "clusters", query, (*Server).handleClusters, func(r *RequestStats) *int64 { return &r.Clusters }},
+	{"POST /v1/admin/reload", "reload", reload, (*Server).handleReload, func(r *RequestStats) *int64 { return &r.Reload }},
+	{"GET /v1/metrics", "metrics", probe, (*Server).handleMetrics, func(r *RequestStats) *int64 { return &r.Metrics }},
+	{"GET /v1/healthz", "", probe, (*Server).handleHealthz, nil},
+	{"GET /v1/readyz", "", probe, (*Server).handleReadyz, nil},
+	{"GET /v1/statsz", "", probe, (*Server).handleStatsz, nil},
+}
+
+// endpoint is a route as one Server serves it. A counted route (count set)
+// gets a request counter, a latency histogram and its endpoint label.
+type endpoint struct {
+	route
+	requests atomic.Int64
+	latency  *metrics.Histogram
+	labels   []metrics.Label
+}
+
+// Handler returns the server's HTTP handler: a stdlib mux with one entry per
+// row of routes, so wrong-method requests get 405 with an Allow header and
+// unknown paths 404, from the mux and from no endpoint. Each endpoint sits
+// behind the layers its class asks for — innermost to outermost: request
+// count and latency observation, per-request deadline, bounded-in-flight
+// admission control — and the mux behind panic recovery, so an overloaded,
+// slow, or crashing handler degrades to clean error responses instead of
+// taking the process down.
+func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	for i := range s.endpoints {
+		ep := &s.endpoints[i]
+		if s.noMetrics && ep.label == "metrics" {
+			continue
+		}
+		var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { ep.handle(s, w, r) })
+		if ep.count != nil {
+			h = ep.observe(h)
+		}
+		if ep.class == query {
+			h = s.withDeadline(h)
+		}
+		if ep.class != probe {
+			h = s.withAdmission(h)
+		}
+		mux.Handle(ep.pattern, h)
 	}
-	return false
+	return s.withRecovery(mux)
 }
 
 // withDeadline bounds each request's context so one slow query (a huge
-// associate batch, a stalled client) cannot hold a worker forever. Reload is
-// exempt besides the observability endpoints: swapping a large snapshot in
-// legitimately outlives a query deadline.
+// associate batch, a stalled client) cannot hold a worker forever.
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	if s.reqTimeout <= 0 {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if observabilityExempt(r.URL.Path) || r.URL.Path == "/v1/admin/reload" {
-			next.ServeHTTP(w, r)
-			return
-		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
 		defer cancel()
 		next.ServeHTTP(w, r.WithContext(ctx))
@@ -286,10 +338,6 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if observabilityExempt(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
 		select {
 		case s.sem <- struct{}{}:
 		default:
@@ -395,7 +443,6 @@ func (s *Server) writeQueryError(w http.ResponseWriter, prefix string, err error
 // --- handlers ----------------------------------------------------------------
 
 func (s *Server) handleAssociate(w http.ResponseWriter, r *http.Request) {
-	s.stats.associateRequests.Add(1)
 	sc := scratchPool.Get().(*wireScratch)
 	defer putScratch(sc)
 	posts, ok := s.readPosts(w, r, sc)
@@ -417,7 +464,6 @@ func (s *Server) handleAssociate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	s.stats.matchRequests.Add(1)
 	sc := scratchPool.Get().(*wireScratch)
 	defer putScratch(sc)
 	body, ok := s.readBody(w, r, sc)
@@ -438,7 +484,6 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMatchImage(w http.ResponseWriter, r *http.Request) {
-	s.stats.matchImageRequests.Add(1)
 	img, _, err := image.Decode(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, reasonBadRequest, "decoding image: "+err.Error())
@@ -490,7 +535,6 @@ func (s *Server) answerMatch(w http.ResponseWriter, r *http.Request, h memes.Has
 // annotated medoid and are servable now; pending posts wait in the pool for
 // the next threshold-triggered re-cluster.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	s.stats.ingestRequests.Add(1)
 	if s.ingestor == nil {
 		s.writeError(w, http.StatusServiceUnavailable, reasonIngestDisabled, "ingest disabled: start the server with an ingest configuration")
 		return
@@ -558,79 +602,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	eng, gen := s.hot.Pin()
-	doc := StatsDoc{
-		UptimeMS:          float64(time.Since(s.started)) / float64(time.Millisecond),
-		Generation:        gen,
-		LoadedAt:          s.loadedAt.Load().(time.Time).UTC().Format(time.RFC3339Nano),
-		Clusters:          len(eng.Clusters()),
-		AnnotatedClusters: annotatedCount(eng),
-		Reloads:           s.stats.reloads.Load(),
-		Requests: RequestStats{
-			Associate:  s.stats.associateRequests.Load(),
-			Match:      s.stats.matchRequests.Load(),
-			MatchImage: s.stats.matchImageRequests.Load(),
-			Ingest:     s.stats.ingestRequests.Load(),
-			Reload:     s.stats.reloadRequests.Load(),
-			Influence:  s.stats.influenceRequests.Load(),
-			Report:     s.stats.reportRequests.Load(),
-			Metrics:    s.stats.metricsRequests.Load(),
-			Errors:     s.stats.errors.Load(),
-		},
-		Match: MatchStats{
-			Matched: s.stats.matched.Load(),
-			Missed:  s.stats.missed.Load(),
-		},
-		Associate: AssocStats{
-			Posts:        s.stats.associatedPosts.Load(),
-			Associations: s.stats.associations.Load(),
-		},
-		Overload: OverloadStats{
-			Shed:        s.stats.shed.Load(),
-			Timeouts:    s.stats.timeouts.Load(),
-			Panics:      s.stats.panics.Load(),
-			InFlight:    len(s.sem),
-			MaxInFlight: cap(s.sem),
-		},
-		BuildStats: cli.StatsDoc(eng.BuildStats()),
-	}
-	if s.declog != nil {
-		st := s.declog.Stats()
-		doc.DecisionLog = DecLogStats{
-			Enabled:       true,
-			Logged:        st.Logged,
-			Dropped:       st.Dropped,
-			Batches:       st.Batches,
-			Flushed:       st.Flushed,
-			FlushFailures: st.FlushFailures,
-			Buffered:      st.Buffered,
-		}
-	}
-	if s.ingestor != nil {
-		st := s.ingestor.Stats()
-		doc.Ingest = IngestStats{
-			Enabled:           true,
-			Ingested:          st.Ingested,
-			Assigned:          st.Assigned,
-			Rejected:          st.Rejected,
-			Pending:           st.Pending,
-			Pool:              st.Pool,
-			Reclusters:        st.Reclusters,
-			ReclusterFailures: st.ReclusterFailures,
-			Compactions:       st.Compactions,
-			DeltaSegments:     st.DeltaSegments,
-			Seq:               st.Seq,
-			JournalRetries:    st.JournalRetries,
-			JournalFailures:   st.JournalFailures,
-			TornTails:         st.TornTails,
-			Degraded:          st.Degraded,
-		}
-		doc.Degraded = st.Degraded
-	}
-	s.writeJSON(w, http.StatusOK, doc)
-}
-
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	eng, gen := s.hot.Pin()
 	clusters := eng.Clusters()
@@ -653,7 +624,6 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	s.stats.reloadRequests.Add(1)
 	st, err := s.Reload()
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, reasonReloadFailed, err.Error())

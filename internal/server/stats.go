@@ -1,24 +1,17 @@
 package server
 
 import (
+	"net/http"
 	"sync/atomic"
+	"time"
+
+	"github.com/memes-pipeline/memes/internal/cli"
 )
 
-// counters is the server's always-on operational accounting, maintained with
-// atomics so the hot serve path never takes a lock for bookkeeping. The
-// /v1/statsz endpoint renders it as one machine-readable document following
-// the same conventions as the repo's StatsJSON / BenchDoc contracts (stable
-// snake_case keys, arrays never null).
+// counters is the server's always-on operational accounting besides the
+// per-endpoint request counters, maintained with atomics so the hot serve
+// path never takes a lock for bookkeeping.
 type counters struct {
-	associateRequests  atomic.Int64
-	matchRequests      atomic.Int64
-	matchImageRequests atomic.Int64
-	ingestRequests     atomic.Int64
-	reloadRequests     atomic.Int64
-	influenceRequests  atomic.Int64
-	reportRequests     atomic.Int64
-	metricsRequests    atomic.Int64
-
 	errors atomic.Int64 // requests answered with a non-2xx status
 
 	matched atomic.Int64 // single-hash lookups that found a cluster
@@ -34,5 +27,55 @@ type counters struct {
 	panics   atomic.Int64 // handler panics contained by recovery
 }
 
-// The /v1/statsz document types (StatsDoc and its sub-structs) live in
-// wire.go with the rest of the API's wire shapes.
+// statsDoc snapshots everything the server reports about itself. It is the
+// one reader of the counters: /v1/statsz writes the snapshot as is, and
+// /v1/metrics renders the same snapshot through its families table, so the
+// two views agree by construction. The document types live in wire.go.
+func (s *Server) statsDoc() StatsDoc {
+	eng, gen := s.hot.Pin()
+	d := StatsDoc{
+		UptimeMS:          float64(time.Since(s.started)) / float64(time.Millisecond),
+		Generation:        gen,
+		LoadedAt:          s.loadedAt.Load().(time.Time).UTC().Format(time.RFC3339Nano),
+		Clusters:          len(eng.Clusters()),
+		AnnotatedClusters: annotatedCount(eng),
+		SnapshotVersion:   eng.SnapshotVersion(),
+		Reloads:           s.stats.reloads.Load(),
+		Requests: RequestStats{
+			Errors: s.stats.errors.Load(),
+		},
+		Match: MatchStats{
+			Matched: s.stats.matched.Load(),
+			Missed:  s.stats.missed.Load(),
+		},
+		Associate: AssocStats{
+			Posts:        s.stats.associatedPosts.Load(),
+			Associations: s.stats.associations.Load(),
+		},
+		Overload: OverloadStats{
+			Shed:        s.stats.shed.Load(),
+			Timeouts:    s.stats.timeouts.Load(),
+			Panics:      s.stats.panics.Load(),
+			InFlight:    len(s.sem),
+			MaxInFlight: cap(s.sem),
+		},
+		BuildStats: cli.StatsDoc(eng.BuildStats()),
+	}
+	for i := range s.endpoints {
+		if ep := &s.endpoints[i]; ep.count != nil {
+			*ep.count(&d.Requests) = ep.requests.Load()
+		}
+	}
+	if s.declog != nil {
+		d.DecisionLog = DecLogStats{Enabled: true, Stats: s.declog.Stats()}
+	}
+	if s.ingestor != nil {
+		d.Ingest = IngestStats{Enabled: true, Stats: s.ingestor.Stats()}
+		d.Degraded = d.Ingest.Degraded
+	}
+	return d
+}
+
+func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	s.writeJSON(w, http.StatusOK, s.statsDoc())
+}

@@ -6,6 +6,8 @@ import (
 
 	"github.com/memes-pipeline/memes"
 	"github.com/memes-pipeline/memes/internal/cli"
+	"github.com/memes-pipeline/memes/internal/declog"
+	"github.com/memes-pipeline/memes/internal/ingest"
 )
 
 // This file is the de-facto wire specification of the serving API: every
@@ -202,13 +204,15 @@ type ReloadStatus struct {
 
 // StatsDoc is the GET /v1/statsz response: request counters, hot-swap
 // state, overload and ingest counters, decision-log accounting, and the
-// resident engine's build-phase RunStats.
+// resident engine's build-phase RunStats. Server.statsDoc fills it, and
+// /v1/metrics renders the same snapshot.
 type StatsDoc struct {
 	UptimeMS          float64       `json:"uptime_ms"`
 	Generation        uint64        `json:"generation"`
 	LoadedAt          string        `json:"loaded_at"`
 	Clusters          int           `json:"clusters"`
 	AnnotatedClusters int           `json:"annotated_clusters"`
+	SnapshotVersion   uint32        `json:"snapshot_version"`
 	Reloads           int64         `json:"reloads"`
 	Degraded          bool          `json:"degraded"`
 	Requests          RequestStats  `json:"requests"`
@@ -232,7 +236,8 @@ type OverloadStats struct {
 	MaxInFlight int   `json:"max_in_flight"`
 }
 
-// RequestStats counts requests per endpoint plus total error responses.
+// RequestStats counts requests per labelled route (see routes) plus total
+// error responses.
 type RequestStats struct {
 	Associate  int64 `json:"associate"`
 	Match      int64 `json:"match"`
@@ -241,6 +246,7 @@ type RequestStats struct {
 	Reload     int64 `json:"reload"`
 	Influence  int64 `json:"influence"`
 	Report     int64 `json:"report"`
+	Clusters   int64 `json:"clusters"`
 	Metrics    int64 `json:"metrics"`
 	Errors     int64 `json:"errors"`
 }
@@ -269,35 +275,18 @@ type BatcherStats struct {
 	MaxBatch        int   `json:"max_batch"`
 }
 
-// IngestStats renders the streaming-ingest subsystem's counters. Enabled is
-// false (and everything else zero) when the server runs without an Ingestor.
+// IngestStats is the streaming-ingest block of /v1/statsz: the ingestor's
+// counters under the wire names ingest.Stats declares. Enabled is false (and
+// everything else zero) when the server runs without an Ingestor.
 type IngestStats struct {
-	Enabled           bool   `json:"enabled"`
-	Ingested          int64  `json:"ingested"`
-	Assigned          int64  `json:"assigned"`
-	Rejected          int64  `json:"rejected"`
-	Pending           int    `json:"pending"`
-	Pool              int    `json:"pool"`
-	Reclusters        int64  `json:"reclusters"`
-	ReclusterFailures int64  `json:"recluster_failures"`
-	Compactions       int64  `json:"compactions"`
-	DeltaSegments     int    `json:"delta_segments"`
-	Seq               uint64 `json:"seq"`
-	JournalRetries    int64  `json:"journal_retries"`
-	JournalFailures   int64  `json:"journal_failures"`
-	TornTails         int64  `json:"torn_tails"`
-	Degraded          bool   `json:"degraded"`
+	Enabled bool `json:"enabled"`
+	ingest.Stats
 }
 
-// DecLogStats renders the decision-log stream's accounting. Enabled is
-// false (and everything else zero) when the server runs without a decision
-// logger.
+// DecLogStats is the decision-log block of /v1/statsz: the stream's
+// accounting under the wire names declog.Stats declares. Enabled is false
+// (and everything else zero) when the server runs without a decision logger.
 type DecLogStats struct {
-	Enabled       bool   `json:"enabled"`
-	Logged        uint64 `json:"logged"`
-	Dropped       uint64 `json:"dropped"`
-	Batches       uint64 `json:"batches"`
-	Flushed       uint64 `json:"flushed"`
-	FlushFailures uint64 `json:"flush_failures"`
-	Buffered      int    `json:"buffered"`
+	Enabled bool `json:"enabled"`
+	declog.Stats
 }
