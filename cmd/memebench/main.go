@@ -2,7 +2,8 @@
 // the build path (BenchmarkPipelineRun), the clustering phase
 // (BenchmarkDBSCAN), the serve path per index strategy
 // (BenchmarkEngineAssociate), the zero-alloc steady-state serve paths
-// (EngineAssociateSteady, EngineMatchSteady), Step 1 hashing
+// (EngineAssociateSteady, EngineMatchSteady), one POST /v1/match through the
+// HTTP handler stack (ServeMatch), Step 1 hashing
 // (BenchmarkPhashExtraction), the streaming ingest fast path (Ingest,
 // posts/sec through Ingestor.Ingest), snapshot load-to-first-query per
 // format version (EngineSnapshotLoad), and Step 7 (ReportSections: the
@@ -32,6 +33,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -44,8 +47,10 @@ import (
 	"github.com/memes-pipeline/memes/internal/cli"
 	"github.com/memes-pipeline/memes/internal/cluster"
 	"github.com/memes-pipeline/memes/internal/dataset"
+	"github.com/memes-pipeline/memes/internal/declog"
 	"github.com/memes-pipeline/memes/internal/imaging"
 	"github.com/memes-pipeline/memes/internal/pipeline"
+	"github.com/memes-pipeline/memes/internal/server"
 )
 
 func main() {
@@ -136,6 +141,7 @@ func main() {
 		strategy := strategy
 		run("EngineMatchSteady/"+string(strategy), func(b *testing.B) { st.benchEngineMatchSteady(b, strategy) })
 	}
+	run("ServeMatch", func(b *testing.B) { st.benchServeMatch(b) })
 	// Load-to-first-query runs before the heap-heavy Ingest benchmark so a
 	// GC cycle over ingest garbage cannot land inside the short timed loop.
 	for _, v := range []struct {
@@ -436,6 +442,56 @@ func (st *benchState) benchEngineMatchSteady(b *testing.B, strategy memes.IndexS
 		}
 	}
 }
+
+// benchServeMatch measures one POST /v1/match through server.Handler() with
+// the decision log on: the lookup's whole server-side stack (admission,
+// deadline, body read, parse, probe, capture, encode) plus httptest's
+// recorder and request. It is recorded, not gated; the allocation ceiling
+// of the same path is internal/server's TestMatchAllocCeiling.
+func (st *benchState) benchServeMatch(b *testing.B) {
+	eng, err := memes.NewEngine(context.Background(), st.ds, st.site)
+	if err != nil {
+		b.Fatal(err)
+	}
+	logger, err := declog.New(declog.Config{Sink: discardSink{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer logger.Close()
+	srv, err := server.New(server.Config{Loader: func() (*memes.Engine, error) { return eng, nil }, DecisionLog: logger})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+	var bodies [][]byte
+	for _, c := range eng.Clusters() {
+		if c.Annotated() {
+			bodies = append(bodies, []byte(`{"hash":"`+c.MedoidHash.String()+`"}`))
+		}
+	}
+	if len(bodies) == 0 {
+		b.Fatal("no annotated clusters in bench corpus")
+	}
+	serve := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/match", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve(bodies[0]) // sizes the pooled buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(bodies[i%len(bodies)])
+	}
+}
+
+// discardSink drops the decision log's batches.
+type discardSink struct{}
+
+func (discardSink) Upload(context.Context, []declog.Decision) error { return nil }
 
 // benchEngineSnapshotLoad measures load-to-first-query: LoadEngineFile on a
 // saved snapshot of the given format version followed by one Match. The v2

@@ -370,13 +370,20 @@ func TestLoggerConcurrentLog(t *testing.T) {
 
 // TestLogBatchAcceptsPrefix pins LogBatch's accounting at the edges: the
 // prefix that fits gets the next dense seqs and one shared timestamp, the
-// rest is dropped and counted, and a closed logger drops everything.
+// rest is dropped and counted, and a closed logger drops everything. New
+// clamps BatchSize to BufferSize, so the logger is built by hand with a
+// BatchSize the 10-slot buffer never reaches: the batch-full kick cannot
+// fire, and the flusher drains only on the explicit Flush and on Close.
 func TestLogBatchAcceptsPrefix(t *testing.T) {
 	sink := &memSink{}
-	l, err := New(Config{Sink: sink, BufferSize: 10, BatchSize: 10, FlushInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
+	l := &Logger{
+		cfg:  Config{Sink: sink, BufferSize: 10, BatchSize: 32, FlushInterval: time.Hour},
+		buf:  make([]Decision, 0, 10),
+		kick: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
+	go l.run()
 	batch := make([]Decision, 16)
 	for i := range batch {
 		batch[i] = Decision{Seq: 99, TimeUnixNS: 99, ClusterID: i}

@@ -106,7 +106,21 @@ func Similar(a, b Hash, threshold int) bool {
 // representation of the hash, matching the string form used in the paper
 // (e.g. "55352b0b8d8b5b53").
 func (h Hash) String() string {
-	return fmt.Sprintf("%016x", uint64(h))
+	var buf [16]byte
+	b, _ := h.AppendText(buf[:0])
+	return string(b)
+}
+
+// AppendText implements encoding.TextAppender: it appends the canonical
+// 16-digit lowercase hexadecimal form String returns. It never fails.
+//
+//memes:noalloc
+func (h Hash) AppendText(b []byte) ([]byte, error) {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[uint64(h)>>shift&0xf])
+	}
+	return b, nil
 }
 
 // Parse parses a hash from its hexadecimal string representation.
@@ -138,7 +152,7 @@ func (h *Hash) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalText implements encoding.TextMarshaler.
-func (h Hash) MarshalText() ([]byte, error) { return []byte(h.String()), nil }
+func (h Hash) MarshalText() ([]byte, error) { return h.AppendText(make([]byte, 0, 16)) }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
 func (h *Hash) UnmarshalText(data []byte) error {

@@ -1,6 +1,9 @@
 package phash
 
 import (
+	"bytes"
+	"encoding"
+	"fmt"
 	"image"
 	"image/color"
 	"math/rand"
@@ -164,6 +167,36 @@ func TestStringParseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAppendTextMatchesSprintf pins AppendText, and String and MarshalText
+// through it, to fmt's %016x on the edges and on seeded random hashes, and
+// holds it to zero allocations when the buffer has room.
+func TestAppendTextMatchesSprintf(t *testing.T) {
+	var _ encoding.TextAppender = Hash(0)
+	hashes := []Hash{0, 1, 1 << 63, ^Hash(0)}
+	rng := rand.New(rand.NewSource(46))
+	for range 10000 {
+		hashes = append(hashes, Hash(rng.Uint64()))
+	}
+	for _, h := range hashes {
+		want := fmt.Sprintf("%016x", uint64(h))
+		got, err := h.AppendText([]byte("prefix:"))
+		if err != nil || string(got) != "prefix:"+want {
+			t.Fatalf("AppendText(%#x) = %q, %v; want %q", uint64(h), got, err, "prefix:"+want)
+		}
+		if s := h.String(); s != want {
+			t.Fatalf("String(%#x) = %q, want %q", uint64(h), s, want)
+		}
+		if text, err := h.MarshalText(); err != nil || !bytes.Equal(text, []byte(want)) {
+			t.Fatalf("MarshalText(%#x) = %q, %v; want %q", uint64(h), text, err, want)
+		}
+	}
+	buf := make([]byte, 0, 16)
+	h := hashes[len(hashes)-1]
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = h.AppendText(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendText into a buffer with room allocates %.0f times", allocs)
 	}
 }
 

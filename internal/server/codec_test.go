@@ -160,6 +160,132 @@ func TestAssociateResponseMatchesJSON(t *testing.T) {
 	}
 }
 
+// checkParseMatch is parseMatch's contract: it declines, or it returns
+// exactly the hash json.Unmarshal and parseHash return for the same bytes.
+func checkParseMatch(t *testing.T, body []byte) (accepted bool) {
+	t.Helper()
+	got, ok := parseMatch(body)
+	if !ok {
+		return false
+	}
+	var req matchRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatalf("parseMatch accepted %q, json.Unmarshal refuses it: %v", body, err)
+	}
+	want, err := parseHash(req.Hash)
+	if err != nil {
+		t.Fatalf("parseMatch accepted %q, parseHash refuses it: %v", body, err)
+	}
+	if got != want {
+		t.Fatalf("parseMatch(%q) = %#x, want %#x", body, uint64(got), uint64(want))
+	}
+	return true
+}
+
+// Match bodies around every edge of the two canonical forms.
+var (
+	matchAcceptedSeeds = []string{
+		`{"hash":"00000000000000ff"}`, `{"hash":"0x00000000000000ff"}`, `{"hash":"0xff"}`, `{"hash":"f"}`,
+		`{"hash":"FFFFFFFFFFFFFFFF"}`, `{"hash":"0xffffffffffffffff"}`, `{"hash":"0"}`, `{"hash":"0x0"}`,
+		`{"hash":255}`, `{"hash":0}`, `{"hash":18446744073709551615}`,
+		`{"hash":"00000000000000ff"}` + "\n", `{"hash":1}` + " \t\r\n",
+	}
+	matchDeclinedSeeds = []string{
+		// Valid bodies outside the canonical forms: json.Unmarshal and
+		// parseHash answer them.
+		`{ "hash":"ff"}`, `{"hash": "ff"}`, `{"hash":"ff" }`, `{"hash":" ff"}`, ` {"hash":"ff"}`,
+		`{"hash":"\u0066f"}`, `{"HASH":"ff"}`, `{"hash":"ff","extra":1}`, `{"hash":"ff","hash":"fe"}`,
+		// Bodies json.Unmarshal or parseHash refuse.
+		`{"hash":"0x"}`, `{"hash":""}`, `{"hash":"0123456789abcdef0"}`, `{"hash":"0x0123456789abcdef0"}`,
+		`{"hash":"0X1"}`, `{"hash":"0x0x1"}`, `{"hash":"xyz"}`, `{"hash":18446744073709551616}`,
+		`{"hash":99999999999999999999}`, `{"hash":0255}`, `{"hash":00}`, `{"hash":-1}`, `{"hash":1e3}`,
+		`{"hash":1.0}`, `{"hash":null}`, `{"hash":true}`, `{"hash":"ff"}garbage`, `{"hash":"ff"}{"hash":"ff"}`,
+		`{"hash":"ff"`, `{"hash":"ff`, `{"hash":`, `{"hash"`, `{}`, ``,
+	}
+)
+
+// FuzzParseMatch: declined, or the hash json.Unmarshal and parseHash give
+// for the same bytes; never a body they refuse, never a panic.
+func FuzzParseMatch(f *testing.F) {
+	for _, s := range append(matchAcceptedSeeds, matchDeclinedSeeds...) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkParseMatch(t, body)
+	})
+}
+
+// TestParseMatchAcceptsCanonical: the fast path takes both wire forms as
+// clients send them, and every body of the declined list goes to the
+// encoding/json path.
+func TestParseMatchAcceptsCanonical(t *testing.T) {
+	for _, h := range []memes.Hash{0, 1, 0xff, 1 << 63, ^memes.Hash(0)} {
+		for _, body := range []string{
+			fmt.Sprintf(`{"hash":"%016x"}`, uint64(h)),
+			fmt.Sprintf(`{"hash":"0x%x"}`, uint64(h)),
+			fmt.Sprintf(`{"hash":%d}`, uint64(h)),
+		} {
+			if !checkParseMatch(t, []byte(body)) {
+				t.Errorf("%s: declined, want it parsed", body)
+			}
+		}
+	}
+	for _, s := range matchAcceptedSeeds {
+		if !checkParseMatch(t, []byte(s)) {
+			t.Errorf("%q: declined, want it parsed", s)
+		}
+	}
+	for _, s := range matchDeclinedSeeds {
+		if checkParseMatch(t, []byte(s)) {
+			t.Errorf("%q: parsed, want it declined", s)
+		}
+	}
+}
+
+// TestMatchResponseMatchesJSON pins appendMatchResponse to
+// json.NewEncoder(w).Encode(matchResponse{…}) byte for byte: a hit, a miss,
+// an entry encoding/json escapes, and the extreme generations.
+func TestMatchResponseMatchesJSON(t *testing.T) {
+	e := newTestEnv(t)
+	clusters := e.eng.Clusters()
+	odd := memes.ClusterInfo{Community: dataset.Gab, Annotation: annotate.Annotation{Representative: &memes.KYMEntry{Name: `<pepe> & "friends" \ ☺ café`}}}
+	var hit *memes.ClusterInfo
+	for i := range clusters {
+		if clusters[i].Annotated() {
+			hit = &clusters[i]
+			break
+		}
+	}
+	if hit == nil {
+		t.Fatal("no annotated cluster")
+	}
+	for _, gen := range []uint64{0, 7, ^uint64(0)} {
+		for _, tc := range []struct {
+			h  memes.Hash
+			m  memes.Match
+			ci *memes.ClusterInfo
+		}{
+			{hit.MedoidHash, memes.Match{ClusterID: hit.ID, Distance: 0}, hit},
+			{hit.MedoidHash ^ 0b1011, memes.Match{ClusterID: hit.ID, Distance: 3}, hit},
+			{0xdeadbeef, memes.Match{ClusterID: 4, Distance: 9}, &odd},
+			{0, memes.Match{ClusterID: -1, Distance: -1}, nil},
+			{^memes.Hash(0), memes.Match{ClusterID: -1, Distance: -1}, nil},
+		} {
+			want := matchResponse{Matched: tc.ci != nil, ClusterID: tc.m.ClusterID, Distance: tc.m.Distance, Hash: tc.h.String(), Generation: gen}
+			if tc.ci != nil {
+				want.Entry, want.Community = tc.ci.EntryName(), tc.ci.Community.String()
+			}
+			var buf bytes.Buffer
+			if err := json.NewEncoder(&buf).Encode(want); err != nil {
+				t.Fatal(err)
+			}
+			if got := appendMatchResponse(nil, tc.h, gen, tc.m, tc.ci); !bytes.Equal(got, buf.Bytes()) {
+				t.Fatalf("got  %s\nwant %s", got, buf.Bytes())
+			}
+		}
+	}
+}
+
 // TestNonCanonicalBodiesTakeTheJSONPath: bodies the fast path declines are
 // still served, with the answer of their canonical re-encoding.
 func TestNonCanonicalBodiesTakeTheJSONPath(t *testing.T) {
@@ -269,6 +395,51 @@ func TestAssociateAllocCeiling(t *testing.T) {
 	}
 	if st := logger.Stats(); st.Logged == 0 {
 		t.Error("the decision log saw nothing: the ceiling must be measured with capture on")
+	}
+}
+
+// TestMatchAllocCeiling holds /v1/match to what net/http and the harness
+// cost: at most 21 allocations per lookup through the whole Handler() stack
+// with the decision log on (40 while the lookup went through encoding/json,
+// fmt and a context.WithTimeout timer). httptest's recorder and request
+// account for about 12 of the 21.
+func TestMatchAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	logger, err := declog.New(declog.Config{Sink: &collectSink{}, BufferSize: 1 << 16, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logger.Close()
+	e := newTestEnvCfg(t, func(c *Config) { c.DecisionLog = logger })
+	h := e.srv.Handler()
+	var bodies [][]byte
+	for _, c := range e.eng.Clusters() {
+		if c.Annotated() {
+			bodies = append(bodies, matchBody(c.MedoidHash))
+		}
+	}
+	if len(bodies) == 0 {
+		t.Fatal("no annotated cluster to look up")
+	}
+	i := 0
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/match", bytes.NewReader(bodies[i%len(bodies)])))
+		i++
+		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"matched":true`)) {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	serve() // sizes the pooled buffers
+	allocs := testing.AllocsPerRun(200, serve)
+	t.Logf("%.0f allocs per lookup", allocs)
+	if allocs > 21 {
+		t.Errorf("/v1/match allocates %.0f times per lookup, ceiling 21", allocs)
+	}
+	if st := logger.Stats(); st.Logged == 0 || st.Dropped != 0 {
+		t.Errorf("decision log %+v: the ceiling must be measured with every lookup captured", st)
 	}
 }
 

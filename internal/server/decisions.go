@@ -47,20 +47,24 @@ func (s *Server) logAssociateDecisions(sc *wireScratch, gen uint64, eng *memes.E
 }
 
 // logMatchDecision captures a single-hash lookup (/v1/match or
-// /v1/match/image). The decision carries a synthetic post holding only the
-// queried hash — there is no community or timestamp on a bare lookup, so
-// replay skips these and regenerates tables from associate decisions.
-func (s *Server) logMatchDecision(h memes.Hash, resp matchResponse) {
+// /v1/match/image): m and ci as appendMatchResponse takes them. The decision
+// carries a synthetic post holding only the queried hash — there is no
+// community or timestamp on a bare lookup, so replay skips these and
+// regenerates tables from associate decisions.
+func (s *Server) logMatchDecision(h memes.Hash, gen uint64, m memes.Match, ci *memes.ClusterInfo) {
 	if s.declog == nil {
 		return
 	}
-	s.declog.Log(declog.Decision{
+	d := declog.Decision{
 		Endpoint:   "match",
-		Generation: resp.Generation,
+		Generation: gen,
 		Post:       memes.Post{HasImage: true, Hash: uint64(h), TruthMeme: -1, TruthRoot: -1},
-		Matched:    resp.Matched,
-		ClusterID:  resp.ClusterID,
-		Distance:   resp.Distance,
-		Entry:      resp.Entry,
-	})
+		ClusterID:  m.ClusterID,
+		Distance:   m.Distance,
+	}
+	if ci != nil {
+		d.Matched = true
+		d.Entry = ci.EntryName()
+	}
+	s.declog.Log(d)
 }

@@ -128,5 +128,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, reasonInternal, "rendering metrics: "+err.Error())
 		return
 	}
-	s.writeRaw(w, "text/plain; version=0.0.4; charset=utf-8", buf.Bytes())
+	s.writeRaw(w, contentTypeMetrics, buf.Bytes())
 }

@@ -33,8 +33,10 @@
 // Request/response shapes live in wire.go — the de-facto API spec. A JSON
 // body is read whole and must be one value: trailing bytes are a 400, a body
 // over Config.MaxBodyBytes a 413 body_too_large. The {"posts":[…]} bodies and
-// the associate response go through the hand-written Post codec (codec.go),
-// which declines to encoding/json for anything outside the canonical shape.
+// the associate response go through the hand-written Post codec, and the
+// {"hash": …} body and the match response through the match codec (both in
+// codec.go); each parser declines to encoding/json for anything outside the
+// canonical shape.
 // Every served association and match decision can additionally be streamed
 // to a decision log (Config.DecisionLog, internal/declog) for offline replay
 // through cmd/memereport.
@@ -317,16 +319,14 @@ func (s *Server) Handler() http.Handler {
 }
 
 // withDeadline bounds each request's context so one slow query (a huge
-// associate batch, a stalled client) cannot hold a worker forever.
+// associate batch, a stalled client) cannot hold a worker forever. The
+// context arms a timer only if the handler waits on Done (see lazyDeadline):
+// a lookup polls Err and costs no timer.
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	if s.reqTimeout <= 0 {
 		return next
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
+	return deadlineHandler{next: next, timeout: s.reqTimeout}
 }
 
 // withAdmission bounds the number of concurrently served requests; load
@@ -356,23 +356,26 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 // way to abort a response, not a crash.
 func (s *Server) withRecovery(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tw := &trackingWriter{ResponseWriter: w}
+		tw := trackingPool.Get().(*trackingWriter)
+		tw.ResponseWriter, tw.wrote = w, false
 		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
+			if rec := recover(); rec != nil {
+				if rec == http.ErrAbortHandler {
+					panic(rec)
+				}
+				s.stats.panics.Add(1)
+				if !tw.wrote {
+					s.writeError(tw, http.StatusInternalServerError, reasonPanic, fmt.Sprintf("handler panicked: %v", rec))
+				}
 			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			s.stats.panics.Add(1)
-			if !tw.wrote {
-				s.writeError(tw, http.StatusInternalServerError, reasonPanic, fmt.Sprintf("handler panicked: %v", rec))
-			}
+			tw.ResponseWriter = nil
+			trackingPool.Put(tw)
 		}()
 		next.ServeHTTP(tw, r)
 	})
 }
+
+var trackingPool = sync.Pool{New: func() any { return new(trackingWriter) }}
 
 // trackingWriter records whether a response has started, so the recovery
 // layer knows if a 500 can still be written.
@@ -408,16 +411,26 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 		// proxies that honour Retry-After.
 		w.Header().Set("Retry-After", "1")
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
+// The Content-Type values the server answers with, each one shared slice:
+// assigning it to a header key saves Header.Set's allocation per response.
+// Sharing is safe because nothing writes into a handler header's value
+// slices: net/http clones the header at WriteHeader, and Header.Add appends
+// past these full slices into a fresh array.
+var (
+	contentTypeJSON    = []string{"application/json"}
+	contentTypeMetrics = []string{"text/plain; version=0.0.4; charset=utf-8"}
+)
+
 // writeRaw puts an already-encoded 200 body on the wire with one Write: the
-// hand-encoded associate response from its pooled buffer, the metrics
-// exposition. Errors never come through here; they are writeError's.
-func (s *Server) writeRaw(w http.ResponseWriter, contentType string, body []byte) {
-	w.Header().Set("Content-Type", contentType)
+// hand-encoded associate and match responses from their pooled buffers, the
+// metrics exposition. Errors never come through here; they are writeError's.
+func (s *Server) writeRaw(w http.ResponseWriter, contentType []string, body []byte) {
+	w.Header()["Content-Type"] = contentType
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }
@@ -460,9 +473,11 @@ func (s *Server) handleAssociate(w http.ResponseWriter, r *http.Request) {
 	s.stats.associations.Add(int64(len(assocs)))
 	s.logAssociateDecisions(sc, gen, eng, posts, assocs)
 	sc.out = appendAssociateResponse(sc.out[:0], len(posts), gen, assocs, eng.Clusters())
-	s.writeRaw(w, "application/json", sc.out)
+	s.writeRaw(w, contentTypeJSON, sc.out)
 }
 
+// handleMatch reads {"hash": …} on the fast path (parseMatch) or, when that
+// declines, through json.Unmarshal and parseHash, whose errors are the 400s.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	sc := scratchPool.Get().(*wireScratch)
 	defer putScratch(sc)
@@ -470,17 +485,20 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req matchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, reasonBadRequest, "decoding request: "+err.Error())
-		return
+	h, ok := parseMatch(body)
+	if !ok {
+		var req matchRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			s.writeError(w, http.StatusBadRequest, reasonBadRequest, "decoding request: "+err.Error())
+			return
+		}
+		var err error
+		if h, err = parseHash(req.Hash); err != nil {
+			s.writeError(w, http.StatusBadRequest, reasonBadRequest, err.Error())
+			return
+		}
 	}
-	h, err := parseHash(req.Hash)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, reasonBadRequest, err.Error())
-		return
-	}
-	s.answerMatch(w, r, h)
+	s.answerMatch(w, r, sc, h)
 }
 
 func (s *Server) handleMatchImage(w http.ResponseWriter, r *http.Request) {
@@ -495,39 +513,34 @@ func (s *Server) handleMatchImage(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, reasonBadRequest, "hashing image: "+err.Error())
 		return
 	}
-	s.answerMatch(w, r, h)
+	sc := scratchPool.Get().(*wireScratch)
+	defer putScratch(sc)
+	s.answerMatch(w, r, sc, h)
 }
 
 // answerMatch serves both match endpoints: it pins one engine generation,
 // looks the hash up on it and renders the answer against that same engine,
 // so the cluster metadata and the generation label come from the artifact
-// that answered even while a hot reload swaps the engine underneath.
-func (s *Server) answerMatch(w http.ResponseWriter, r *http.Request, h memes.Hash) {
+// that answered even while a hot reload swaps the engine underneath. The
+// answer is appended into sc.out.
+func (s *Server) answerMatch(w http.ResponseWriter, r *http.Request, sc *wireScratch, h memes.Hash) {
 	eng, gen := s.hot.Pin()
 	m, ok, err := eng.Match(r.Context(), h)
 	if err != nil {
 		s.writeQueryError(w, "match", err)
 		return
 	}
-	resp := matchResponse{
-		Matched:    ok,
-		ClusterID:  -1,
-		Distance:   -1,
-		Hash:       h.String(), // canonical 16-digit lowercase hex
-		Generation: gen,
-	}
+	var ci *memes.ClusterInfo
 	if ok {
 		s.stats.matched.Add(1)
-		ci := &eng.Clusters()[m.ClusterID]
-		resp.ClusterID = m.ClusterID
-		resp.Distance = m.Distance
-		resp.Entry = ci.EntryName()
-		resp.Community = ci.Community.String()
+		ci = &eng.Clusters()[m.ClusterID]
 	} else {
 		s.stats.missed.Add(1)
+		m = memes.Match{ClusterID: -1, Distance: -1}
 	}
-	s.logMatchDecision(h, resp)
-	s.writeJSON(w, http.StatusOK, resp)
+	s.logMatchDecision(h, gen, m, ci)
+	sc.out = appendMatchResponse(sc.out[:0], h, gen, m, ci)
+	s.writeRaw(w, contentTypeJSON, sc.out)
 }
 
 // handleIngest feeds a batch of posts to the streaming Ingestor. The receipt

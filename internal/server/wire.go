@@ -77,13 +77,15 @@ type associateResponse struct {
 
 // matchRequest is the POST /v1/match body. Hash is kept raw because the
 // wire accepts two forms: a hex string (canonical) or a bare decimal
-// integer; see parseHash.
+// integer; see parseHash. The handler decodes it only when parseMatch
+// declines the body.
 type matchRequest struct {
 	Hash json.RawMessage `json:"hash"`
 }
 
 // matchResponse answers POST /v1/match and POST /v1/match/image. ClusterID
-// and Distance are -1 when Matched is false.
+// and Distance are -1 when Matched is false. The handlers write it with
+// appendMatchResponse, which a test pins to this struct's encoding.
 type matchResponse struct {
 	Matched    bool   `json:"matched"`
 	ClusterID  int    `json:"cluster_id"`
