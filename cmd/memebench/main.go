@@ -3,7 +3,8 @@
 // (BenchmarkDBSCAN), the serve path per index strategy
 // (BenchmarkEngineAssociate), the zero-alloc steady-state serve paths
 // (EngineAssociateSteady, EngineMatchSteady), one POST /v1/match through the
-// HTTP handler stack (ServeMatch), Step 1 hashing
+// HTTP handler stack (ServeMatch), the Post wire codec over one 1,024-post
+// body (PostCodec/parse, PostCodec/append), Step 1 hashing
 // (BenchmarkPhashExtraction), the streaming ingest fast path (Ingest,
 // posts/sec through Ingestor.Ingest), snapshot load-to-first-query per
 // format version (EngineSnapshotLoad), and Step 7 (ReportSections: the
@@ -142,6 +143,12 @@ func main() {
 		run("EngineMatchSteady/"+string(strategy), func(b *testing.B) { st.benchEngineMatchSteady(b, strategy) })
 	}
 	run("ServeMatch", func(b *testing.B) { st.benchServeMatch(b) })
+	codec, err := newPostCodecBench()
+	if err != nil {
+		log.Fatalf("preparing PostCodec: %v", err)
+	}
+	run("PostCodec/parse", codec.benchParse)
+	run("PostCodec/append", codec.benchAppend)
 	// Load-to-first-query runs before the heap-heavy Ingest benchmark so a
 	// GC cycle over ingest garbage cannot land inside the short timed loop.
 	for _, v := range []struct {
@@ -485,6 +492,70 @@ func (st *benchState) benchServeMatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve(bodies[i%len(bodies)])
+	}
+}
+
+// postCodecBench is one /v1/associate body's worth of posts — the first
+// 1,024 of the small corpus, the profile memeload's associate_small draws
+// from — and the comma-separated run of their JSON objects that sits inside
+// the body's array. One op parses or prints all 1,024. Recorded, not gated.
+type postCodecBench struct {
+	posts []dataset.Post
+	body  []byte
+}
+
+func newPostCodecBench() (*postCodecBench, error) {
+	ds, err := dataset.Generate(dataset.SmallConfig())
+	if err != nil {
+		return nil, err
+	}
+	const batch = 1024
+	if len(ds.Posts) < batch {
+		return nil, fmt.Errorf("small corpus has %d posts, want %d", len(ds.Posts), batch)
+	}
+	c := &postCodecBench{posts: ds.Posts[:batch]}
+	for i := range c.posts {
+		if i > 0 {
+			c.body = append(c.body, ',')
+		}
+		if c.body, err = dataset.AppendPost(c.body, &c.posts[i]); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// benchParse reads the body with one PostParser, as parsePosts does.
+func (c *postCodecBench) benchParse(b *testing.B) {
+	var parser dataset.PostParser
+	var p dataset.Post
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < len(c.body); j++ {
+			n, ok := parser.Parse(c.body[j:], &p)
+			if !ok {
+				b.Fatalf("declined the post at byte %d", j)
+			}
+			j += n
+		}
+	}
+}
+
+// benchAppend prints the posts into one reused buffer, as the decision log
+// does.
+func (c *postCodecBench) benchAppend(b *testing.B) {
+	buf := make([]byte, 0, 2*len(c.body))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = buf[:0]
+		for j := range c.posts {
+			var err error
+			if buf, err = dataset.AppendPost(buf, &c.posts[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"encoding/json"
+	"math"
 	"strconv"
 	"time"
 )
@@ -30,12 +31,15 @@ func AppendPost(dst []byte, p *Post) ([]byte, error) {
 		dst = AppendJSONString(dst, p.Subreddit)
 	}
 	dst = append(dst, `,"timestamp":"`...)
-	// AppendText is the strict RFC 3339 form Time.MarshalJSON quotes.
-	stamped, err := p.Timestamp.AppendText(dst)
-	if err != nil {
-		return dst[:start], marshalError(p)
+	var utc bool
+	if dst, utc = appendUTC(dst, p.Timestamp); !utc {
+		// AppendText is the strict RFC 3339 form Time.MarshalJSON quotes.
+		stamped, err := p.Timestamp.AppendText(dst)
+		if err != nil {
+			return dst[:start], marshalError(p)
+		}
+		dst = stamped
 	}
-	dst = stamped
 	dst = append(dst, `","has_image":`...)
 	dst = strconv.AppendBool(dst, p.HasImage)
 	if p.Hash != 0 {
@@ -51,6 +55,67 @@ func AppendPost(dst []byte, p *Post) ([]byte, error) {
 	dst = append(dst, `,"truth_root":`...)
 	dst = strconv.AppendInt(dst, int64(p.TruthRoot), 10)
 	return append(dst, '}'), nil
+}
+
+// digitPairs holds "00" through "99": two digits per table read.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendPair appends v (0..99) as two digits.
+func appendPair(dst []byte, v int) []byte {
+	return append(dst, digitPairs[2*v], digitPairs[2*v+1])
+}
+
+// appendUTC appends a UTC time with a year in 0..9999 as Time.AppendText
+// does: "YYYY-MM-DDTHH:MM:SS", the nanoseconds with their trailing zeros
+// trimmed (none at all when zero), then "Z". Any other time — another
+// Location, even one at offset zero, or another year — comes back false
+// with dst unextended.
+//
+//memes:noalloc
+func appendUTC(dst []byte, t time.Time) ([]byte, bool) {
+	if t.Location() != time.UTC {
+		return dst, false
+	}
+	year, month, day := t.Date()
+	if uint(year) > 9999 {
+		return dst, false
+	}
+	hour, min, sec := t.Clock()
+	dst = appendPair(dst, year/100)
+	dst = appendPair(dst, year%100)
+	dst = append(dst, '-')
+	dst = appendPair(dst, int(month))
+	dst = append(dst, '-')
+	dst = appendPair(dst, day)
+	dst = append(dst, 'T')
+	dst = appendPair(dst, hour)
+	dst = append(dst, ':')
+	dst = appendPair(dst, min)
+	dst = append(dst, ':')
+	dst = appendPair(dst, sec)
+	if ns := t.Nanosecond(); ns != 0 {
+		var frac [10]byte
+		frac[0] = '.'
+		for k := 9; k > 0; k-- {
+			frac[k] = byte('0' + ns%10)
+			ns /= 10
+		}
+		n := len(frac)
+		for frac[n-1] == '0' {
+			n--
+		}
+		dst = append(dst, frac[:n]...)
+	}
+	return append(dst, 'Z'), true
 }
 
 // marshalError is AppendPost's cold path: json.Marshal words the error.
@@ -105,8 +170,9 @@ const (
 	internMaxLen   = 64
 )
 
-// postKeys are the keys of a Post in declaration (and so json.Marshal) order.
-var postKeys = [...]string{"id", "community", "subreddit", "timestamp", "has_image", "phash", "score", "truth_meme", "truth_root"}
+// postKeys are the keys of a Post in declaration (and so json.Marshal)
+// order, each quoted and followed by its colon.
+var postKeys = [...]string{`"id":`, `"community":`, `"subreddit":`, `"timestamp":`, `"has_image":`, `"phash":`, `"score":`, `"truth_meme":`, `"truth_root":`}
 
 // Parse reads one Post object from the front of data into p and returns the
 // bytes consumed. ok false means the parser declines — the input is not in
@@ -124,24 +190,16 @@ func (d *PostParser) Parse(data []byte, p *Post) (n int, ok bool) {
 	}
 	i, field := 1, 0
 	for {
-		// Key: a quoted name, then a colon.
-		if i >= len(data) || data[i] != '"' {
-			return 0, false
-		}
-		i++
-		k := i
-		for i < len(data) && data[i] != '"' {
-			i++
-		}
-		if i+1 >= len(data) || data[i+1] != ':' {
-			return 0, false
-		}
-		// Searching forward only refuses unknown, repeated and out-of-order
-		// keys alike, and the case-folded spellings encoding/json accepts.
-		for field < len(postKeys) && string(data[k:i]) != postKeys[field] {
+		// Key: the quoted name and its colon. Searching forward only
+		// refuses unknown, repeated and out-of-order keys alike, and the
+		// case-folded spellings encoding/json accepts.
+		for field < len(postKeys) && !hasKey(data[i:], postKeys[field]) {
 			field++
 		}
-		i += 2
+		if field == len(postKeys) {
+			return 0, false
+		}
+		i += len(postKeys[field])
 		var v int64
 		switch field {
 		case 0:
@@ -166,8 +224,6 @@ func (d *PostParser) Parse(data []byte, p *Post) (n int, ok bool) {
 		case 8:
 			v, i, ok = parseInt(data, i, strconv.IntSize)
 			p.TruthRoot = int(v)
-		default:
-			return 0, false
 		}
 		field++
 		if !ok || i >= len(data) {
@@ -184,45 +240,61 @@ func (d *PostParser) Parse(data []byte, p *Post) (n int, ok bool) {
 	}
 }
 
-// intEnd returns the end of the JSON integer at data[i:] — an optional minus
-// sign and digits without a leading zero — or -1. A fraction or exponent that
-// follows is refused by the caller's delimiter check.
-func intEnd(data []byte, i int) int {
-	if i < len(data) && data[i] == '-' {
-		i++
-	}
-	first := i
-	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-		i++
-	}
-	if i == first || (data[first] == '0' && i > first+1) {
-		return -1
-	}
-	return i
+// hasKey reports whether data starts with key.
+func hasKey(data []byte, key string) bool {
+	return len(data) >= len(key) && string(data[:len(key)]) == key
 }
 
-// parseInt reads a JSON integer of the given bit size; overflow declines.
-// strconv does not let its argument escape, so the conversion stays on the
-// stack.
+// parseInt reads a JSON integer — an optional minus sign and digits without
+// a leading zero — of the given bit size; overflow declines. A fraction or
+// exponent that follows is refused by the caller's delimiter check.
 //
 //memes:noalloc
 func parseInt(data []byte, i, bits int) (v int64, next int, ok bool) {
-	if next = intEnd(data, i); next < 0 {
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	u, next, ok := parseUint(data, i)
+	limit := uint64(1) << (bits - 1) // the magnitude of the smallest value
+	if !ok || u > limit || (u == limit && !neg) {
 		return 0, 0, false
 	}
-	v, err := strconv.ParseInt(string(data[i:next]), 10, bits)
-	return v, next, err == nil
+	if neg {
+		return int64(-u), next, true
+	}
+	return int64(u), next, true
 }
 
-// parseUint is parseInt for an unsigned 64-bit field; a minus sign declines.
+// parseUint is parseInt for an unsigned 64-bit field: the digits at
+// data[i:], without a leading zero or a minus sign, read in the pass that
+// finds them. Nineteen digits cannot overflow; a twentieth is checked, and a
+// twenty-first always overflows.
 //
 //memes:noalloc
 func parseUint(data []byte, i int) (v uint64, next int, ok bool) {
-	if next = intEnd(data, i); next < 0 {
+	start := i
+	for ; i < len(data) && i-start < 19; i++ {
+		c := data[i] - '0'
+		if c > 9 {
+			break
+		}
+		v = v*10 + uint64(c)
+	}
+	if i == start || (data[start] == '0' && i > start+1) {
 		return 0, 0, false
 	}
-	v, err := strconv.ParseUint(string(data[i:next]), 10, 64)
-	return v, next, err == nil
+	if i-start == 19 && i < len(data) && data[i]-'0' <= 9 {
+		c := uint64(data[i] - '0')
+		if v > (math.MaxUint64-c)/10 {
+			return 0, 0, false
+		}
+		v = v*10 + c
+		if i++; i < len(data) && data[i]-'0' <= 9 {
+			return 0, 0, false
+		}
+	}
+	return v, i, true
 }
 
 func parseBool(data []byte, i int) (v bool, next int, ok bool) {
@@ -271,10 +343,12 @@ func (d *PostParser) intern(raw []byte) string {
 	return s
 }
 
-// parseTime hands a quoted, escape-free literal to Time.UnmarshalJSON — the
-// method json.Unmarshal itself calls with the same bytes, so the time, its
-// location and what is refused are identical by construction. It allocates
-// only for a zone offset or a refusal.
+// parseTime reads a quoted, escape-free timestamp. The UTC form AppendPost
+// writes, "YYYY-MM-DDTHH:MM:SS[.f{1,9}]Z", is read here; every other literal
+// goes to Time.UnmarshalJSON — the method json.Unmarshal itself calls with
+// the same bytes, so the time, its location and what is refused are
+// identical by construction. It allocates only for a zone offset or a
+// refusal.
 //
 //memes:noalloc
 func parseTime(data []byte, i int, t *time.Time) (next int, ok bool) {
@@ -288,5 +362,76 @@ func parseTime(data []byte, i int, t *time.Time) (next int, ok bool) {
 	if end >= len(data) || data[end] != '"' {
 		return 0, false
 	}
+	if parseUTC(data[i+1:end], t) {
+		return end + 1, true
+	}
 	return end + 1, t.UnmarshalJSON(data[i:end+1]) == nil
+}
+
+// parseUTC reads "YYYY-MM-DDTHH:MM:SS[.f{1,9}]Z" with the range checks of
+// the time package's RFC 3339 parser — month, day in month, hour < 24,
+// minute and second < 60 — and ends where that parser does, in time.Date
+// on UTC. false means "not this form", not "invalid".
+//
+//memes:noalloc
+func parseUTC(s []byte, t *time.Time) bool {
+	const stamp = len("2006-01-02T15:04:05")
+	if len(s) < stamp+1 || s[len(s)-1] != 'Z' ||
+		s[4] != '-' || s[7] != '-' || s[10] != 'T' || s[13] != ':' || s[16] != ':' {
+		return false
+	}
+	year, ok := digits4(s[0], s[1], s[2], s[3])
+	month, ok1 := digits2(s[5], s[6])
+	day, ok2 := digits2(s[8], s[9])
+	hour, ok3 := digits2(s[11], s[12])
+	min, ok4 := digits2(s[14], s[15])
+	sec, ok5 := digits2(s[17], s[18])
+	if !(ok && ok1 && ok2 && ok3 && ok4 && ok5) ||
+		month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		hour > 23 || min > 59 || sec > 59 {
+		return false
+	}
+	nsec := 0
+	if frac := s[stamp : len(s)-1]; len(frac) > 0 {
+		if len(frac) < 2 || len(frac) > 10 || frac[0] != '.' {
+			return false
+		}
+		for _, c := range frac[1:] {
+			if c-'0' > 9 {
+				return false
+			}
+			nsec = nsec*10 + int(c-'0')
+		}
+		for k := len(frac); k < 10; k++ {
+			nsec *= 10
+		}
+	}
+	*t = time.Date(year, time.Month(month), day, hour, min, sec, nsec, time.UTC)
+	return true
+}
+
+// digits2 is the value of two ASCII digits, and whether both are digits.
+func digits2(a, b byte) (int, bool) {
+	return int(a-'0')*10 + int(b-'0'), a-'0' <= 9 && b-'0' <= 9
+}
+
+func digits4(a, b, c, d byte) (int, bool) {
+	hi, ok1 := digits2(a, b)
+	lo, ok2 := digits2(c, d)
+	return hi*100 + lo, ok1 && ok2
+}
+
+// daysIn is the number of days in month (1..12) of year, leap years
+// included.
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
 }

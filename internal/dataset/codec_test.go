@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,13 +17,16 @@ import (
 
 // codecPosts are the shapes the codec must get byte-exact: every optional
 // field present and absent, extremes of every integer, strings that need
-// escaping, and timestamps at the edges of what Time.MarshalJSON accepts.
+// escaping, and timestamps at the edges of what Time.MarshalJSON accepts:
+// leap days, every fraction length, and zones that print "Z" without being
+// UTC.
 func codecPosts() []Post {
 	est := time.FixedZone("EST", -5*3600)
-	return []Post{
+	posts := []Post{
 		{},
 		{ID: 1, Community: TheDonald, Subreddit: "The_Donald", Timestamp: time.Date(2016, 7, 1, 12, 30, 15, 0, time.UTC), HasImage: true, Hash: 1<<64 - 1, Score: -17, TruthMeme: -1, TruthRoot: -1},
-		{ID: -1 << 63, Community: -3, Score: 1<<63 - 1, TruthMeme: -1 << 63, TruthRoot: 7},
+		{ID: -1 << 63, Community: -3, Score: math.MaxInt, TruthMeme: math.MinInt, TruthRoot: 7},
+		{ID: 1<<63 - 1, Hash: 1e19 - 1, Score: math.MinInt, TruthMeme: math.MaxInt},
 		{ID: 1<<63 - 1, Timestamp: time.Date(2017, 2, 28, 23, 59, 59, 123456789, time.UTC)},
 		{Timestamp: time.Date(2017, 1, 1, 0, 0, 0, 120000000, time.UTC)},
 		{Timestamp: time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC)},
@@ -30,7 +36,17 @@ func codecPosts() []Post {
 		{Subreddit: "мемы/🐸"},
 		{Subreddit: "tab\there\x00\x7f"},
 		{Subreddit: "bad\xffutf8\u2028"},
+		{Timestamp: time.Date(2000, 2, 29, 0, 0, 0, 0, time.UTC)},
+		{Timestamp: time.Date(2016, 2, 29, 23, 59, 59, 0, time.UTC)},
+		{Timestamp: time.Date(1900, 2, 28, 0, 0, 0, 0, time.UTC)},
+		{Timestamp: time.Date(2016, 7, 1, 0, 0, 0, 0, time.FixedZone("UTC", 0))},
+		{Timestamp: time.Date(2016, 7, 1, 0, 0, 0, 5, time.FixedZone("", 0))},
 	}
+	// One to nine fraction digits, each with a nonzero last digit.
+	for ns := 100000000; ns > 0; ns /= 10 {
+		posts = append(posts, Post{Timestamp: time.Date(2017, 3, 4, 5, 6, 7, ns+ns/100000000, time.UTC)})
+	}
+	return posts
 }
 
 // TestAppendPostMatchesJSON pins the encoder to json.Marshal, byte for byte,
@@ -54,6 +70,14 @@ func TestAppendPostMatchesJSON(t *testing.T) {
 		}
 		if !bytes.Equal(got[len(prefix):], want) || !bytes.HasPrefix(got, prefix) {
 			t.Fatalf("post %d:\n got %s\nwant %s", i, got[len(prefix):], want)
+		}
+	}
+
+	// The fast path takes UTC alone; a zone at offset zero prints the same
+	// "Z" through Time.AppendText.
+	for _, loc := range []*time.Location{time.FixedZone("UTC", 0), time.FixedZone("", 0), time.Local} {
+		if _, ok := appendUTC(nil, time.Date(2016, 7, 1, 0, 0, 0, 0, loc)); ok {
+			t.Errorf("appendUTC took a time in %v", loc)
 		}
 	}
 
@@ -111,10 +135,18 @@ func TestPostParserDeclines(t *testing.T) {
 		`{"id":null}`,              // null leaves the field alone
 		`{"id":1.0}`, `{"id":1e3}`, // float and exponent
 		`{"id":01}`, `{"id":-}`, `{"id":+1}`,
+		`{"id":00}`, `{"id":-01}`, `{"id":--1}`, `{"id":-a}`,
 		`{"id":9223372036854775808}`,     // one past int64
 		`{"id":-9223372036854775809}`,    // one before
+		`{"id":10000000000000000000}`,    // 20 digits, within uint64
+		`{"id":-18446744073709551615}`,   // 20 digits, a uint64's magnitude
 		`{"phash":18446744073709551616}`, // one past uint64
-		`{"phash":-1}`,
+		`{"phash":18446744073709551620}`, // 20 digits, last one over
+		`{"phash":99999999999999999999}`, // 20 digits, well over
+		`{"phash":100000000000000000000}`,
+		`{"phash":-1}`, `{"phash":-0}`, `{"phash":018446744073709551615}`,
+		`{"score":` + strconv.FormatUint(uint64(math.MaxInt)+1, 10) + `}`, // one past int
+		`{"score":-` + strconv.FormatUint(uint64(math.MaxInt)+2, 10) + `}`,
 		`{"id": 1}`, `{"id":1 }`, `{"id":1,}`, `{"id":1`,
 		`{"has_image":TRUE}`, `{"has_image":1}`, `{"has_image":tru`,
 		`{"subreddit":"a\u0062"}`, `{"subreddit":"caf\u00e9"}`, `{"subreddit":"café"}`,
@@ -124,11 +156,19 @@ func TestPostParserDeclines(t *testing.T) {
 		`{"timestamp":"2016-07-01 00:00:00Z"}`,
 		`{"timestamp":"2016-02-30T00:00:00Z"}`, // no such day
 		`{"timestamp":"2017-02-29T00:00:00Z"}`, // not a leap year
+		`{"timestamp":"1900-02-29T00:00:00Z"}`, // nor is a century
+		`{"timestamp":"2016-04-31T00:00:00Z"}`,
 		`{"timestamp":"2016-13-01T00:00:00Z"}`,
+		`{"timestamp":"2016-00-01T00:00:00Z"}`,
+		`{"timestamp":"2016-07-00T00:00:00Z"}`,
 		`{"timestamp":"2016-07-01T24:00:00Z"}`,
 		`{"timestamp":"2016-07-01T00:60:00Z"}`,
 		`{"timestamp":"2016-07-01T23:59:60Z"}`, // leap second
 		`{"timestamp":"2016-07-01T00:00:00.Z"}`,
+		`{"timestamp":"2016-07-01T00:00:00.5z"}`,
+		`{"timestamp":"2016-07-01t00:00:00Z"}`,
+		`{"timestamp":"-2016-07-01T00:00:00Z"}`,
+		`{"timestamp":"2016-07-01T00:00:0aZ"}`,
 		`{"timestamp":"2016-07-01T00:00:00"}`,
 		`{"timestamp":"2016-07-01T00:00:00Z`,
 		`{"timestamp":"20160-7-01T00:00:00Z"}`,
@@ -139,6 +179,101 @@ func TestPostParserDeclines(t *testing.T) {
 			t.Errorf("%s: accepted (%d bytes, %+v), want declined", in, n, p)
 		}
 	}
+}
+
+// TestPostParserEdges: literals at the edges of the one-pass integer and
+// timestamp readers parse to what json.Unmarshal makes of them, and a
+// timestamp takes the UTC fast path exactly when it is in the form AppendPost
+// writes — a tenth fraction digit or a zone offset goes to Time.UnmarshalJSON.
+func TestPostParserEdges(t *testing.T) {
+	for _, in := range []string{
+		`{"id":0}`, `{"id":-0}`, `{"id":7}`, `{"id":-7}`,
+		`{"id":9223372036854775807}`, `{"id":-9223372036854775808}`, // 19 digits
+		`{"id":999999999999999999}`, `{"id":-1000000000000000000}`,
+		`{"phash":0}`, `{"phash":9999999999999999999}`, // 19 digits
+		`{"phash":10000000000000000000}`, `{"phash":18446744073709551615}`, // 20
+		`{"score":` + strconv.Itoa(math.MaxInt) + `}`, `{"score":` + strconv.Itoa(math.MinInt) + `}`,
+		`{"truth_meme":-0,"truth_root":-2147483648}`,
+	} {
+		checkParserAgrees(t, in)
+	}
+
+	for _, c := range []struct {
+		stamp string
+		fast  bool
+	}{
+		{"0000-01-01T00:00:00Z", true},
+		{"9999-12-31T23:59:59.999999999Z", true},
+		{"2000-02-29T00:00:00Z", true},
+		{"2016-02-29T12:00:00Z", true},
+		{"2016-07-01T00:00:00.120Z", true},
+		{"2016-07-01T00:00:00.5Z", true},
+		{"2016-07-01T00:00:00.12Z", true},
+		{"2016-07-01T00:00:00.123Z", true},
+		{"2016-07-01T00:00:00.1234Z", true},
+		{"2016-07-01T00:00:00.12345Z", true},
+		{"2016-07-01T00:00:00.123456Z", true},
+		{"2016-07-01T00:00:00.1234567Z", true},
+		{"2016-07-01T00:00:00.12345678Z", true},
+		{"2016-07-01T00:00:00.123456789Z", true},
+		{"2016-07-01T00:00:00.000000000Z", true},
+		{"2016-07-01T00:00:00.1234567891Z", false}, // ten digits: truncated there
+		{"2016-07-01T00:00:00+00:00", false},
+		{"2016-07-01T00:00:00,5Z", false}, // time.Parse's leniency
+		{"2016-07-01T0:00:00Z", false},
+		{"2016-07-01T02:00:00+02:00", false},
+		{"1900-02-29T00:00:00Z", false},
+		{"2016-07-01T24:00:00Z", false},
+	} {
+		var got time.Time
+		if fast := parseUTC([]byte(c.stamp), &got); fast != c.fast {
+			t.Errorf("%s: fast path %v, want %v", c.stamp, fast, c.fast)
+		}
+		checkParserAgrees(t, `{"timestamp":"`+c.stamp+`"}`)
+	}
+}
+
+// checkParserAgrees: Parse declines in, or consumes all of it and decodes
+// what json.Unmarshal does; and it takes whatever json.Unmarshal takes.
+func checkParserAgrees(t *testing.T, in string) {
+	t.Helper()
+	var got, want Post
+	wantErr := json.Unmarshal([]byte(in), &want)
+	n, ok := new(PostParser).Parse([]byte(in), &got)
+	if ok != (wantErr == nil) {
+		t.Errorf("%s: accepted=%v, json.Unmarshal error %v", in, ok, wantErr)
+	}
+	if ok && (n != len(in) || !reflect.DeepEqual(got, want)) {
+		t.Errorf("%s: parsed %d bytes to %+v, want %d and %+v", in, n, got, len(in), want)
+	}
+}
+
+// FuzzPostFields assembles a Post from fuzzed id, timestamp, phash and score
+// literals: Parse declines it, or decodes the object at its front to what
+// json.Unmarshal makes of the same bytes. A literal that closes the object
+// early leaves the rest unread, as a post inside a body would.
+func FuzzPostFields(f *testing.F) {
+	f.Add("1", "2016-07-01T12:30:15Z", "18446744073709551615", "-17")
+	f.Add("-0", "0000-01-01T00:00:00.1Z", "0", "0")
+	f.Add("-9223372036854775808", "2016-02-29T00:00:00.123456789Z", "18446744073709551616", strconv.Itoa(math.MaxInt))
+	f.Add("9223372036854775807", "1900-02-29T00:00:00Z", "99999999999999999999", strconv.Itoa(math.MinInt))
+	f.Add("01", "2016-07-01T24:00:00Z", "-0", "1e3")
+	f.Add("1.0", "2016-07-01T00:00:00.1234567891Z", "9999999999999999999", "2147483648")
+	f.Add("0", "2016-07-01T02:00:00+02:00", "1", "-2147483649")
+	f.Fuzz(func(t *testing.T, id, stamp, hash, score string) {
+		in := fmt.Sprintf(`{"id":%s,"timestamp":"%s","phash":%s,"score":%s}`, id, stamp, hash, score)
+		var got, want Post
+		n, ok := new(PostParser).Parse([]byte(in), &got)
+		if !ok {
+			return
+		}
+		if err := json.Unmarshal([]byte(in[:n]), &want); err != nil {
+			t.Fatalf("Parse accepted %s of %s, json.Unmarshal refuses it: %v", in[:n], in, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: parsed %s to %+v, want %+v", in, in[:n], got, want)
+		}
+	})
 }
 
 // TestPostParserInternsNames: a reused parser returns the same string for a

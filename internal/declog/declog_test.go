@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -569,7 +570,7 @@ func TestSinksMatchJSONEncoder(t *testing.T) {
 func FuzzAppendDecision(f *testing.F) {
 	f.Add(uint64(1), int64(1500000000000000000), "associate", uint64(3), int64(7), 4, "The_Donald", int64(1498910400), int64(0), 0, true, uint64(0xdeadbeef), 42, 1, 2, true, 9, 4, "smug-frog")
 	f.Add(uint64(0), int64(-1), "", uint64(0), int64(-1<<63), -9, "", int64(0), int64(0), 0, false, uint64(0), 0, -1, -1, false, -1, -1, "")
-	f.Add(uint64(1<<64-1), int64(1<<63-1), "<script>&amp;", uint64(1<<64-1), int64(1<<63-1), 1<<31, "пепе/🐸", int64(-62167219200), int64(999999999), 3600, true, uint64(1<<64-1), -1<<31, 1<<40, -1<<40, true, 1<<40, 64, "a\"b\\c\x00\x7f \xff")
+	f.Add(uint64(1<<64-1), int64(1<<63-1), "<script>&amp;", uint64(1<<64-1), int64(1<<63-1), math.MaxInt, "пепе/🐸", int64(-62167219200), int64(999999999), 3600, true, uint64(1<<64-1), math.MinInt, math.MaxInt, math.MinInt, true, math.MaxInt, 64, "a\"b\\c\x00\x7f \xff")
 	f.Add(uint64(2), int64(2), "match", uint64(1), int64(2), 0, "r", int64(253402300800), int64(0), 0, true, uint64(1), 0, 0, 0, false, 0, 0, "year 10000")
 	f.Add(uint64(2), int64(2), "match", uint64(1), int64(2), 0, "r", int64(-62167219201), int64(0), -86400, true, uint64(1), 0, 0, 0, false, 0, 0, "year -1, odd zone")
 	f.Fuzz(func(t *testing.T, seq uint64, ns int64, endpoint string, gen uint64, id int64, community int, subreddit string, unix, nsec int64, zone int, hasImage bool, hash uint64, score, truthMeme, truthRoot int, matched bool, cluster, distance int, entry string) {
