@@ -672,8 +672,8 @@ func BenchmarkEngineMatchSteady(b *testing.B) {
 
 // BenchmarkEngineSnapshotLoad measures load-to-first-query per snapshot
 // version from an on-disk file — the restart cost a serving box pays. v1
-// streams varints and rebuilds the medoid index; v2 mmaps the flat layout
-// and serves from the mapped bytes, so the index is loaded, not rebuilt.
+// streams varints and rebuilds the medoid index; v2 reads the whole file
+// and decodes its fixed-width tables.
 func BenchmarkEngineSnapshotLoad(b *testing.B) {
 	st := getBench(b)
 	site, err := st.ds.Site(true)
@@ -713,8 +713,8 @@ func BenchmarkEngineSnapshotLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(v.name, func(b *testing.B) {
-			// Drain garbage (and mapped snapshots awaiting finalizers) so
-			// the loop measures the load, not a GC over the corpus heap.
+			// Drain garbage so the loop measures the load, not a GC over
+			// the corpus heap.
 			runtime.GC()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -56,7 +56,7 @@ step "building engine, saving snapshot, capturing the reference summary"
 expected_assoc=$(jq -r '.associations' "$workdir/pipeline.json")
 [ "$expected_assoc" -gt 0 ] || { echo "FAIL: pipeline summary reports no associations"; exit 1; }
 
-step "saved snapshot is MEMESNAP v2 (flat, mmap-servable)"
+step "saved snapshot is MEMESNAP v2 (flat, offset-based)"
 magic=$(head -c 8 "$workdir/engine.snap")
 [ "$magic" = "MEMESNAP" ] || { echo "FAIL: snapshot magic is '$magic', want MEMESNAP"; exit 1; }
 snap_version=$(od -An -tu4 -j8 -N4 "$workdir/engine.snap" | tr -d ' ')
@@ -109,19 +109,25 @@ if [ "$got_assoc" != "$expected_assoc" ] || [ "$got_len" != "$expected_assoc" ];
   exit 1
 fi
 
+# Ingest is on, so the ingestor owns the served generation: a reload
+# publishes the pending pool, and with nothing pending it reports the
+# generation already served instead of swapping the boot snapshot back in.
 step "hot reload via /v1/admin/reload"
 curl -fsS -X POST "http://$addr/v1/admin/reload" >"$workdir/reload.json"
-jq -e '.generation == 2 and .clusters > 0' "$workdir/reload.json" >/dev/null
+jq -e --argjson n "$(jq '.clusters' "$workdir/health.json")" \
+  '.generation == 1 and .clusters == $n' "$workdir/reload.json" >/dev/null
 
 step "hot reload via SIGHUP"
 kill -HUP "$server_pid"
-gen=""
+reloads=""
 for _ in $(seq 1 50); do
-  gen=$(curl -fsS "http://$addr/v1/healthz" | jq -r '.generation')
-  [ "$gen" = "3" ] && break
+  reloads=$(curl -fsS "http://$addr/v1/statsz" | jq -r '.reloads')
+  [ "$reloads" = "2" ] && break
   sleep 0.2
 done
-[ "$gen" = "3" ] || { echo "FAIL: generation after SIGHUP = $gen, want 3"; exit 1; }
+[ "$reloads" = "2" ] || { echo "FAIL: reloads after SIGHUP = $reloads, want 2"; exit 1; }
+gen=$(curl -fsS "http://$addr/v1/healthz" | jq -r '.generation')
+[ "$gen" = "1" ] || { echo "FAIL: generation after SIGHUP = $gen, want 1 (nothing pending)"; exit 1; }
 
 step "association results identical after both reloads"
 curl -fsS -X POST --data-binary @"$workdir/assoc_req.json" \
@@ -143,7 +149,7 @@ jq -e '.group == "all" and (.communities | length) == 5 and (.raw | length) == 5
 
 step "live /v1/report renders the full document"
 curl -fsS "http://$addr/v1/report" >"$workdir/report.json"
-jq -e '(.sections | length) > 0 and .generation == 3' "$workdir/report.json" >/dev/null
+jq -e '(.sections | length) > 0 and .generation == 1' "$workdir/report.json" >/dev/null
 
 step "/v1/metrics scrape agrees with /v1/statsz"
 # statsz first, then the scrape: the scrape bumps only its own counter, so
@@ -228,6 +234,16 @@ jq -e '.ingest.enabled == true and .ingest.ingested == 5 and .ingest.reclusters 
        and .ingest.pending == 0 and .ingest.seq == 5
        and .requests.ingest == 1 and .requests.errors == 0' \
   "$workdir/stats_ingest.json" >/dev/null
+
+step "reload under ingest keeps the ingested hash servable"
+gen=$(curl -fsS "http://$addr/v1/healthz" | jq -r '.generation')
+curl -fsS -X POST "http://$addr/v1/admin/reload" >"$workdir/reload_ingest.json"
+jq -e --argjson g "$gen" '.generation == $g' "$workdir/reload_ingest.json" >/dev/null \
+  || { echo "FAIL: reload under ingest moved generation $gen: $(cat "$workdir/reload_ingest.json")"; exit 1; }
+curl -fsS -X POST --data-binary @"$workdir/novel_match_req.json" \
+  "http://$addr/v1/match" >"$workdir/novel_reloaded.json"
+jq -e '.matched == true and .entry == "synthetic-novel-meme"' "$workdir/novel_reloaded.json" >/dev/null \
+  || { echo "FAIL: ingested hash stopped matching after a reload"; exit 1; }
 
 step "ingest compaction emits a v2 base snapshot"
 base=""

@@ -600,9 +600,8 @@ func (st *benchState) benchEngineSnapshotLoad(b *testing.B, version uint32) {
 	if err := f.Close(); err != nil {
 		b.Fatal(err)
 	}
-	// Drain garbage from the build and earlier benchmarks (and any mapped
-	// snapshots awaiting finalizers) so the timed loop measures the load,
-	// not a GC cycle over the whole process heap.
+	// Drain garbage from the build and earlier benchmarks so the timed loop
+	// measures the load, not a GC cycle over the whole process heap.
 	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -28,7 +28,9 @@
 //
 // -ingest-threshold N (N > 0) enables streaming ingest: POST /v1/ingest
 // absorbs new posts at runtime, re-clustering incrementally once N pending
-// posts accumulate and hot-swapping the fresh engine in. With -delta-dir,
+// posts accumulate and hot-swapping the fresh engine in. The ingestor then
+// owns the served generation: a reload re-clusters the posts still pending
+// and publishes that, and never re-reads the snapshot file. With -delta-dir,
 // accepted batches are journaled as MEMEDELT delta snapshots and compacted
 // into base snapshots in the background; on boot, memeserve prefers the
 // newest compacted base over -load and replays the journal tail, so
@@ -138,9 +140,8 @@ func main() {
 		}
 	}
 
-	// LoadEngineFile mmaps flat (v2) snapshots and serves straight from the
-	// mapped bytes — the medoid index is loaded, not rebuilt, so reloads are
-	// page-cache-bound; v1 artifacts go through the streaming decoder.
+	// LoadEngineFile reads the snapshot whole into memory, so a rebuilt file
+	// written over the old one changes nothing until the next reload.
 	// WithDataset binds the serving corpus to the engine so the analysis
 	// endpoints (/v1/influence, /v1/report) can materialise the full
 	// pipeline result; without it they would answer 503/analysis_disabled.
@@ -227,18 +228,23 @@ func main() {
 		IdleTimeout:       *idleTimeout,
 	}
 
-	// SIGHUP: hot-swap a freshly built snapshot under live traffic.
+	// SIGHUP: hot-swap a freshly built snapshot under live traffic, or, with
+	// ingest on, publish the posts still pending.
+	served := "reloaded " + snapPath
+	if srv.Ingestor() != nil {
+		served = "published the ingested corpus"
+	}
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
 	go func() {
 		for range hup {
 			st, err := srv.Reload()
 			if err != nil {
-				log.Printf("memeserve: SIGHUP reload failed (old engine keeps serving): %v", err)
+				log.Printf("memeserve: SIGHUP reload failed, serving generation %d: %v", srv.Generation(), err)
 				continue
 			}
-			log.Printf("memeserve: reloaded %s: generation %d, %d clusters in %.1fms",
-				*load, st.Generation, st.Clusters, st.LoadMS)
+			log.Printf("memeserve: %s: generation %d, %d clusters in %.1fms",
+				served, st.Generation, st.Clusters, st.LoadMS)
 		}
 	}()
 
@@ -280,8 +286,6 @@ func closeDecisionLog(l *declog.Logger, s *declog.FileSink) {
 	}
 }
 
-// strategyList renders the registered index strategies for the -index flag
-// help text.
 // collectWhenQuiet bounds the garbage a server with a large resident corpus
 // and a low allocation rate sits on. The pacer starts a collection once the
 // heap has doubled; with tens of MB of corpus live and a serve path whose
@@ -323,6 +327,8 @@ func collectWhenQuiet(ctx context.Context) {
 	}
 }
 
+// strategyList renders the registered index strategies for the -index flag
+// help text.
 func strategyList() string {
 	var names []string
 	for _, s := range memes.IndexStrategies() {

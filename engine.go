@@ -190,8 +190,8 @@ const (
 	SnapshotV1 = pipeline.SnapshotV1
 	// SnapshotV2 is the flat offset-based format: fixed-width tables, one
 	// string arena, and the sealed medoid BK-tree serialized in array form,
-	// so LoadEngineFile can mmap the file and serve directly from the
-	// mapped bytes without rebuilding anything.
+	// so a load decodes the tables without a per-cluster varint walk and
+	// the bktree strategy serves the stored tree without rebuilding it.
 	SnapshotV2 = pipeline.SnapshotV2
 	// SnapshotLatest is the version Engine.Save writes.
 	SnapshotLatest = pipeline.SnapshotLatest
@@ -199,21 +199,16 @@ const (
 
 // SaveVersion writes a snapshot in an explicit format version: SnapshotV1
 // for compatibility with readers predating the flat format, SnapshotV2 for
-// the mmap-ready layout Save defaults to. Both versions reconstitute
+// the flat layout Save defaults to. Both versions reconstitute
 // bitwise-identical engines.
 func (e *Engine) SaveVersion(w io.Writer, version uint32) error {
 	return e.build.SaveVersion(w, version)
 }
 
-// Close releases the snapshot memory mapping backing an engine returned by
-// LoadEngineFile, after which the engine must not serve further queries.
-// Closing is optional — an unclosed mapping is released by the garbage
-// collector once the engine is unreachable — and deliberately NOT wired
-// into the hot-swap path: an old generation may still be pinned by
-// in-flight requests when a new one activates, so HotEngine lets the
-// collector retire it. Close is for callers that churn through many loaded
-// engines and want the address space back deterministically. It is
-// idempotent, and a no-op for engines not backed by a mapping.
+// Close is a no-op that always returns nil. An engine, loaded or built,
+// holds only Go memory, which the garbage collector reclaims once the
+// engine is unreachable; an engine may keep serving after Close. It stays
+// for callers that release what they are done with.
 func (e *Engine) Close() error { return e.build.Close() }
 
 // LoadEngine reads a snapshot written by Engine.Save and returns an Engine
@@ -255,13 +250,12 @@ func LoadEngine(r io.Reader, site *AnnotationSite, opts ...Option) (*Engine, err
 	return &Engine{build: b}, nil
 }
 
-// LoadEngineFile is LoadEngine for a snapshot on disk. For a SnapshotV2
-// file it memory-maps the flat layout (falling back to a single read where
-// mmap is unavailable) and serves directly from the mapped bytes — the
-// medoid index is loaded, not rebuilt, so time-to-first-query is dominated
-// by the page cache rather than by tree construction. Older snapshot
-// versions are read through the same path LoadEngine uses. All LoadEngine
-// options apply, including WithDataset and WithDeltas.
+// LoadEngineFile is LoadEngine for a snapshot on disk. It reads the whole
+// file into memory once and decodes from those bytes, so the engine owns
+// everything it serves: overwriting or truncating the file afterwards
+// cannot change its answers, and a new snapshot takes effect only through
+// a fresh load. All LoadEngine options apply, including WithDataset and
+// WithDeltas.
 func LoadEngineFile(path string, site *AnnotationSite, opts ...Option) (*Engine, error) {
 	ec := engineConfig{cfg: DefaultPipelineConfig()}
 	for _, opt := range opts {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -557,6 +559,107 @@ func TestEngineSaveLoad(t *testing.T) {
 	// WithDataset is a load-time option only.
 	if _, err := NewEngine(ctx, ds, site, WithDataset(ds)); err == nil {
 		t.Fatal("NewEngine accepted WithDataset")
+	}
+}
+
+// TestLoadedEngineIgnoresLaterFileWrites pins that an engine loaded from a
+// snapshot file owns what it serves: overwriting the file in place with
+// another corpus's snapshot (what `memepipeline -save` does to an existing
+// path), then truncating it, changes no answer of the loaded engine under
+// any index strategy, and nothing panics.
+func TestLoadedEngineIgnoresLaterFileWrites(t *testing.T) {
+	ds, site := engineTestCorpus(t)
+	ctx := context.Background()
+	eng, err := NewEngine(ctx, ds, site)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	otherCfg := SmallDatasetConfig()
+	otherCfg.Seed++
+	otherDS, err := GenerateDataset(otherCfg)
+	if err != nil {
+		t.Fatalf("GenerateDataset(other): %v", err)
+	}
+	otherSite, err := otherDS.Site(true)
+	if err != nil {
+		t.Fatalf("Site(other): %v", err)
+	}
+	other, err := NewEngine(ctx, otherDS, otherSite)
+	if err != nil {
+		t.Fatalf("NewEngine(other): %v", err)
+	}
+	var otherSnap bytes.Buffer
+	if err := other.Save(&otherSnap); err != nil {
+		t.Fatalf("Save(other): %v", err)
+	}
+	var medoids []Hash
+	for _, c := range eng.Clusters() {
+		if c.Annotated() {
+			medoids = append(medoids, c.MedoidHash)
+		}
+	}
+
+	type answers struct {
+		assoc   []Association
+		matches []Match
+	}
+	serve := func(t *testing.T, e *Engine, when string) (a answers) {
+		t.Helper()
+		assoc, err := e.Associate(ctx, ds.Posts)
+		if err != nil {
+			t.Fatalf("%s: Associate: %v", when, err)
+		}
+		a.assoc = assoc
+		for _, h := range medoids {
+			m, ok, err := e.Match(ctx, h)
+			if err != nil || !ok {
+				t.Fatalf("%s: Match(%v) = %v, %v, %v; want a match", when, h, m, ok, err)
+			}
+			a.matches = append(a.matches, m)
+		}
+		return a
+	}
+
+	for _, strategy := range IndexStrategies() {
+		t.Run(string(strategy), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "engine.snap")
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Save(f); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadEngineFile(path, site, WithIndex(strategy))
+			if err != nil {
+				t.Fatalf("LoadEngineFile: %v", err)
+			}
+			want := serve(t, loaded, "after load")
+
+			f, err = os.Create(path) // truncates and rewrites in place
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(otherSnap.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := serve(t, loaded, "after overwrite"); !reflect.DeepEqual(got, want) {
+				t.Fatal("answers changed after the file was overwritten with another snapshot")
+			}
+
+			if err := os.Truncate(path, 8); err != nil {
+				t.Fatal(err)
+			}
+			if got := serve(t, loaded, "after truncate"); !reflect.DeepEqual(got, want) {
+				t.Fatal("answers changed after the file was truncated")
+			}
+		})
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strconv"
 	"sync"
@@ -358,43 +357,6 @@ func (s *FileSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.f.Close()
-}
-
-// HTTPSink POSTs each batch as an NDJSON request body to a collector URL,
-// mirroring OPA's upload shape (minus compression).
-type HTTPSink struct {
-	// URL is the collector endpoint.
-	URL string
-	// Client is the HTTP client to use; http.DefaultClient when nil.
-	Client *http.Client
-}
-
-// Upload POSTs the batch; any non-2xx status is an error.
-func (s *HTTPSink) Upload(ctx context.Context, batch []Decision) error {
-	// A fresh body per upload: the transport may read it after Do returns.
-	body, err := appendBatch(nil, batch)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.URL, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("declog: building upload request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	client := s.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("declog: uploading batch: %w", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-		return fmt.Errorf("declog: collector returned %s", resp.Status)
-	}
-	return nil
 }
 
 // Read parses an NDJSON decision stream (the FileSink format). Blank lines

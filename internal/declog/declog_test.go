@@ -6,10 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -296,38 +293,6 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPSink verifies the POST upload shape (NDJSON body, content type)
-// and that a non-2xx status is an error.
-func TestHTTPSink(t *testing.T) {
-	var gotBody string
-	var gotType string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		b := make([]byte, r.ContentLength)
-		r.Body.Read(b)
-		gotBody, gotType = string(b), r.Header.Get("Content-Type")
-	}))
-	defer srv.Close()
-	s := &HTTPSink{URL: srv.URL}
-	if err := s.Upload(context.Background(), []Decision{{Seq: 1}, {Seq: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if gotType != "application/x-ndjson" {
-		t.Errorf("content type %q", gotType)
-	}
-	if lines := strings.Count(gotBody, "\n"); lines != 2 {
-		t.Errorf("body has %d lines, want 2:\n%s", lines, gotBody)
-	}
-
-	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "no", http.StatusServiceUnavailable)
-	}))
-	defer down.Close()
-	s = &HTTPSink{URL: down.URL}
-	if err := s.Upload(context.Background(), []Decision{{}}); err == nil {
-		t.Error("non-2xx upload did not error")
-	}
-}
-
 // TestLoggerConcurrentLog hammers Log from many goroutines against a live
 // flusher and asserts exactly-once delivery of every accepted decision:
 // unique dense seqs, no loss, no duplication.
@@ -513,8 +478,8 @@ type discardSink struct{}
 
 func (discardSink) Upload(context.Context, []Decision) error { return nil }
 
-// TestSinksMatchJSONEncoder: FileSink and HTTPSink put on the wire exactly
-// the NDJSON json.Encoder wrote before them, and a decision encoding/json
+// TestSinksMatchJSONEncoder: FileSink puts on disk exactly the NDJSON
+// json.Encoder wrote before it, and a decision encoding/json
 // cannot marshal fails the upload with nothing written.
 func TestSinksMatchJSONEncoder(t *testing.T) {
 	batch := []Decision{
@@ -549,18 +514,6 @@ func TestSinksMatchJSONEncoder(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("FileSink wrote (err %v):\n%s\nwant:\n%s", err, got, want.Bytes())
-	}
-
-	var posted []byte
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		posted, _ = io.ReadAll(r.Body)
-	}))
-	defer srv.Close()
-	if err := (&HTTPSink{URL: srv.URL}).Upload(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(posted, want.Bytes()) {
-		t.Fatalf("HTTPSink posted:\n%s\nwant:\n%s", posted, want.Bytes())
 	}
 }
 

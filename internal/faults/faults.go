@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault-injection registry behind the
 // chaos harness: named fault points threaded through every crash-critical
 // seam of the engine (snapshot write/sync/rename, delta-journal append,
-// compaction, mmap load, hot swap) that can be armed to
+// compaction, snapshot load, hot swap) that can be armed to
 // inject errors, latency, torn writes, panics, or hard process exits at
 // exactly the moment a test chooses.
 //

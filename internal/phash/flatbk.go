@@ -5,7 +5,7 @@ import "fmt"
 // FlatBK is the sealed, pointer-free form of a BKTree: the same metric tree
 // compiled into contiguous arrays so a query touches cache lines instead of
 // chasing pointers, and so the whole index can be serialised verbatim into a
-// snapshot and served straight out of mmap'd bytes — loaded, not rebuilt.
+// snapshot and decoded back at load — loaded, not rebuilt.
 //
 // Nodes are numbered in breadth-first order with each node's children kept
 // contiguous and in insertion order, which makes two things true at once:
@@ -79,7 +79,7 @@ func compileFlat(root *bkNode, keys, size int) *FlatBK {
 // monotone child/ID spans that partition the node and ID ranges, child
 // indices strictly after their parent (BFS order, which also guarantees
 // traversal termination), and edge distances within the metric's range.
-// The arrays are adopted, not copied — they may live in mmap'd file bytes.
+// The arrays are adopted, not copied: the caller must not modify them after.
 func NewFlatBK(hashes []Hash, childStart []uint32, dists []uint8, idStart []uint32, ids []int64) (*FlatBK, error) {
 	n := len(hashes)
 	if n == 0 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -48,45 +47,29 @@ type BuildResult struct {
 	buildStats  RunStats              // cluster + annotate (or load) stage records
 	buildWall   time.Duration         // end-to-end wall time of Build (or LoadBuild)
 	progress    ProgressFunc          // forwarded to Result's associate stage
-	closer      func() error          // releases the mmap backing a v2 load; nil otherwise
 	snapVersion uint32                // MEMESNAP version loaded from; 0 for in-memory builds
 }
 
 // SnapshotVersion reports the MEMESNAP format version this BuildResult was
 // reconstituted from: 1 for the varint streaming layout, 2 for the flat
-// mmap layout, and 0 for a result built in memory rather than loaded from a
-// snapshot. Serving exposes it as a gauge so operators can tell which
-// artifact generation a replica is running.
+// offset-based layout, and 0 for a result built in memory rather than
+// loaded from a snapshot. Serving exposes it as a gauge so operators can
+// tell which artifact generation a replica is running.
 func (b *BuildResult) SnapshotVersion() uint32 { return b.snapVersion }
 
-// Close releases the memory mapping backing a BuildResult loaded from a v2
-// snapshot file. After Close the flat index aliases unmapped memory, so the
-// caller must have quiesced every query first. Close is idempotent, and
-// calling it is optional: an unclosed mapping is released by the garbage
-// collector once the BuildResult is unreachable. Builds and non-mmap loads
-// have nothing to release; Close on them is a no-op.
-func (b *BuildResult) Close() error {
-	c := b.closer
-	if c == nil {
-		return nil
-	}
-	b.closer = nil
-	runtime.SetFinalizer(b, nil)
-	return c()
-}
+// Close is a no-op kept for callers that release an engine when done with
+// it: a BuildResult holds only Go memory, which the garbage collector
+// reclaims once it is unreachable. A loaded snapshot is read whole into
+// memory, so nothing written to the file after the load can change it.
+func (b *BuildResult) Close() error { return nil }
 
 // Rebind returns a copy of b bound to ds, a corpus whose clusters b already
 // holds: the restart path, where a compacted base folds every journaled post
 // but was loaded over the corpus from before them. Nothing is rebuilt; the
-// clusters and the medoid index are shared. A copy of a v2 load aliases b's
-// mapping: closing the copy closes it, and holding the copy holds b, whose
-// finalizer releases the mapping once neither is reachable.
+// clusters and the medoid index are shared.
 func (b *BuildResult) Rebind(ds *dataset.Dataset) *BuildResult {
 	c := *b
 	c.Dataset = ds
-	if b.closer != nil {
-		c.closer = b.Close
-	}
 	return &c
 }
 

@@ -45,7 +45,7 @@ import (
 var snapshotMagic = [8]byte{'M', 'E', 'M', 'E', 'S', 'N', 'A', 'P'}
 
 // Save writes a binary snapshot of the build to w in the latest format
-// (MEMESNAP v2, the flat mmap-able layout). The snapshot captures
+// (MEMESNAP v2, the flat offset-based layout). The snapshot captures
 // everything Steps 2-5 produced; LoadBuild reconstitutes an equivalent
 // BuildResult without re-running them.
 func (b *BuildResult) Save(w io.Writer) error {
@@ -172,8 +172,7 @@ func LoadBuild(r io.Reader, site *annotate.Site, ds *dataset.Dataset, reconfig f
 		return loadBuildV1(br, site, ds, reconfig, progress)
 	case SnapshotV2:
 		// The flat layout is random-access, not streaming: slurp the rest
-		// and decode in place. File-based callers use LoadBuildFile, which
-		// mmaps instead of reading.
+		// and decode it, as LoadBuildFile does with the whole file.
 		data, err := io.ReadAll(br)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: reading snapshot: %w", err)

@@ -9,8 +9,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
-	"unsafe"
 
 	"github.com/memes-pipeline/memes/internal/annotate"
 	"github.com/memes-pipeline/memes/internal/cluster"
@@ -21,16 +19,15 @@ import (
 	"github.com/memes-pipeline/memes/internal/phash"
 )
 
-// MEMESNAP v2: the flat, offset-based snapshot layout the resident engine
-// serves from directly. Where v1 is a varint stream that must be decoded
-// byte by byte, v2 is a fixed-width header plus a directory of contiguous,
-// 8-aligned sections — fixed-size table rows, one string arena addressed by
-// offset+length spans, and the compiled flat BK-tree arrays — terminated by
-// a CRC-32 trailer over everything before it. A loader validates the
-// checksum and the directory, then materialises the cluster table with no
-// per-cluster varint decode; under the bktree strategy it serves the medoid
-// index straight out of the mapped bytes, under the others it builds theirs
-// from that table.
+// MEMESNAP v2: the flat, offset-based snapshot layout. Where v1 is a varint
+// stream that must be decoded byte by byte, v2 is a fixed-width header plus
+// a directory of contiguous, 8-aligned sections — fixed-size table rows, one
+// string arena addressed by offset+length spans, and the compiled flat
+// BK-tree arrays — terminated by a CRC-32 trailer over everything before it.
+// A loader validates the checksum and the directory, then materialises the
+// cluster table with no per-cluster varint decode; under the bktree
+// strategy the decoded tree arrays are the medoid index, under the others
+// it builds theirs from that table.
 //
 // Layout (all integers little-endian):
 //
@@ -63,12 +60,7 @@ import (
 //	  9 treeIDs       []i64, the cluster IDs grouped by node
 //	[fileSize-4:] CRC-32 (IEEE) of bytes [0:fileSize-4]
 //
-// Sections start 8-aligned (zero padding between them). Because mmap bases
-// are page-aligned, 8-aligned file offsets land on 8-aligned addresses, so
-// the []u64/[]u32 views over mapped memory are correctly aligned loads. On
-// little-endian hosts those views are zero-copy casts of the file bytes; a
-// big-endian or misaligned fallback decodes into fresh slices instead —
-// same result, one extra copy.
+// Sections start 8-aligned (zero padding between them).
 //
 // The flat tree is compiled fresh from the annotated clusters at save time
 // (never taken from the resident index), so the emitted bytes are identical
@@ -81,7 +73,7 @@ import (
 const (
 	// SnapshotV1 is the varint streaming layout (the original format).
 	SnapshotV1 uint32 = 1
-	// SnapshotV2 is the flat, mmap-able layout.
+	// SnapshotV2 is the flat, offset-based layout.
 	SnapshotV2 uint32 = 2
 	// SnapshotLatest is what Save emits by default.
 	SnapshotLatest = SnapshotV2
@@ -114,13 +106,6 @@ const (
 var v2SectionElemSize = [v2SectionCount]uint64{
 	v2CommunityRowSize, v2ClusterRowSize, v2MatchRowSize, v2EntryRowSize, 1, 8, 4, 1, 4, 8,
 }
-
-// hostLittle reports whether the host is little-endian; only then can the
-// typed views be zero-copy casts of the file bytes.
-var hostLittle = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // align8 rounds n up to the next multiple of 8.
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
@@ -339,8 +324,7 @@ func (v *v2View) section(s int) []byte {
 	return v.data[v.offs[s] : v.offs[s]+v.counts[s]*v2SectionElemSize[s]]
 }
 
-// str resolves an offset+length span into the string arena. The bytes are
-// copied into a Go string — only the tree arrays serve zero-copy.
+// str resolves an offset+length span into the string arena.
 func (v *v2View) str(off, n uint32) (string, error) {
 	if n == 0 {
 		return "", nil
@@ -396,17 +380,11 @@ func v2Open(data []byte) (*v2View, error) {
 	return v, nil
 }
 
-// The typed views: zero-copy unsafe casts when the host is little-endian
-// and the base pointer is 8-aligned (always true for mmap'd pages and, in
-// practice, for heap buffers), otherwise an explicit decode into a fresh
-// slice. Both produce identical values; only the copy differs.
+// The typed decodes: each copies a little-endian section into a fresh slice.
 
 func v2U32s(b []byte, count uint64) []uint32 {
 	if count == 0 {
 		return nil
-	}
-	if hostLittle && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), count)
 	}
 	out := make([]uint32, count)
 	for i := range out {
@@ -419,9 +397,6 @@ func v2Hashes(b []byte, count uint64) []phash.Hash {
 	if count == 0 {
 		return nil
 	}
-	if hostLittle && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*phash.Hash)(unsafe.Pointer(&b[0])), count)
-	}
 	out := make([]phash.Hash, count)
 	for i := range out {
 		out[i] = phash.Hash(binary.LittleEndian.Uint64(b[i*8:]))
@@ -433,9 +408,6 @@ func v2I64s(b []byte, count uint64) []int64 {
 	if count == 0 {
 		return nil
 	}
-	if hostLittle && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), count)
-	}
 	out := make([]int64, count)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
@@ -443,12 +415,10 @@ func v2I64s(b []byte, count uint64) []int64 {
 	return out
 }
 
-// loadBuildV2 reconstitutes a BuildResult from v2 snapshot bytes. data may
-// be mmap'd file memory: under the bktree strategy the flat BK-tree serves
-// directly from it (the caller keeps the mapping alive for the
-// BuildResult's lifetime), while strings and the cluster table are
-// materialised eagerly — they are small, and resolving annotation entries
-// against the site must fail loudly at load time, not first query.
+// loadBuildV2 reconstitutes a BuildResult from v2 snapshot bytes. Strings,
+// the cluster table and the tree arrays are copied out eagerly, so the
+// result shares no memory with data, and resolving annotation entries
+// against the site fails loudly at load time, not first query.
 func loadBuildV2(data []byte, site *annotate.Site, ds *dataset.Dataset, reconfig func(*Config), progress ProgressFunc) (*BuildResult, error) {
 	if site == nil {
 		return nil, errors.New("pipeline: nil annotation site")
@@ -578,17 +548,16 @@ func loadBuildV2(data []byte, site *annotate.Site, ds *dataset.Dataset, reconfig
 
 	// The load stage. The serialized flat tree is validated under every
 	// strategy — what a file must satisfy to load cannot depend on how it
-	// will be served — and under bktree it IS the index: views over the
-	// file bytes, no rebuild. The other strategies build from the cluster
-	// table exactly as v1 does (the default's band table is a sort of the
-	// pairs and one counting sort per band: ~20 µs at 147 medoids, under a
-	// millisecond at 4,698).
+	// will be served — and under bktree it IS the index, with no rebuild.
+	// The other strategies build from the cluster table exactly as v1 does
+	// (the default's band table is a sort of the pairs and one counting sort
+	// per band: ~20 µs at 147 medoids, under a millisecond at 4,698).
 	em := emitter{stats: &b.buildStats, progress: progress}
 	stageStart := em.start(StageLoad)
 	flat, err := phash.NewFlatBK(
 		v2Hashes(v.section(v2SecTreeHashes), v.counts[v2SecTreeHashes]),
 		v2U32s(v.section(v2SecTreeChild), v.counts[v2SecTreeChild]),
-		v.section(v2SecTreeDists),
+		bytes.Clone(v.section(v2SecTreeDists)),
 		v2U32s(v.section(v2SecTreeIDStart), v.counts[v2SecTreeIDStart]),
 		v2I64s(v.section(v2SecTreeIDs), v.counts[v2SecTreeIDs]),
 	)
@@ -614,62 +583,15 @@ func loadBuildV2(data []byte, site *annotate.Site, ds *dataset.Dataset, reconfig
 	return b, nil
 }
 
-// LoadBuildFile reconstitutes a BuildResult from a snapshot file. For a v2
-// snapshot the file is mmap'd read-only and the engine serves straight from
-// the mapped pages — load-to-first-query cost is the envelope validation
-// plus the (small) cluster-table materialisation, independent of how the
-// page cache fills in the tree behind it. When mmap is unavailable the
-// whole file is read in one call instead; v1 snapshots stream through
-// LoadBuild. The mapping is released when the BuildResult is garbage
-// collected, so callers must not retain phash-level match slices beyond the
-// engine's lifetime (the exported query surface copies everything it
-// returns).
+// LoadBuildFile reconstitutes a BuildResult from a snapshot file. The whole
+// file is read into memory in one call, so the result owns every byte it
+// serves: nothing written to the file after the load can change it. A v2
+// snapshot decodes from those bytes; v1 and anything else go through
+// LoadBuild for its usual diagnostics.
 func LoadBuildFile(path string, site *annotate.Site, ds *dataset.Dataset, reconfig func(*Config), progress ProgressFunc) (*BuildResult, error) {
 	if err := faults.Inject("pipeline.load"); err != nil {
 		return nil, fmt.Errorf("pipeline: loading snapshot: %w", err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: opening snapshot: %w", err)
-	}
-	defer f.Close()
-
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: stating snapshot: %w", err)
-	}
-	size := st.Size()
-	if size > int64(int(^uint(0)>>1)) {
-		return nil, fmt.Errorf("pipeline: snapshot of %d bytes exceeds address space", size)
-	}
-	if data, closer, err := mmapFile(f, int(size)); err == nil && size >= 12 {
-		// Sniff the version from the mapped header: only v2 serves from the
-		// mapping; anything else (v1, foreign, short) streams through
-		// LoadBuild for its usual diagnostics.
-		if [8]byte(data[:8]) != snapshotMagic ||
-			binary.LittleEndian.Uint32(data[8:12]) != SnapshotV2 {
-			_ = closer()
-			return LoadBuild(f, site, ds, reconfig, progress)
-		}
-		b, lerr := loadBuildV2(data, site, ds, reconfig, progress)
-		if lerr != nil {
-			_ = closer()
-			return nil, lerr
-		}
-		// The flat index aliases the mapping: unmap via Close, or — since
-		// most callers never close an engine — when the garbage collector
-		// finds the BuildResult unreachable.
-		b.closer = closer
-		runtime.SetFinalizer(b, func(b *BuildResult) { _ = b.Close() })
-		return b, nil
-	} else if err == nil {
-		_ = closer()
-		return LoadBuild(f, site, ds, reconfig, progress)
-	}
-
-	// mmap unavailable (platform stub, exotic filesystem, empty file): one
-	// whole-file read preserves the O(1)-decode property for v2, just with
-	// a copy; everything else streams through LoadBuild.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: reading snapshot: %w", err)

@@ -348,6 +348,97 @@ func TestIngestHotSwapZeroDrops(t *testing.T) {
 	}
 }
 
+// waitMatched polls /v1/match until hash matches, failing after 30 s.
+func waitMatched(t *testing.T, e *testEnv, hash memes.Hash) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var m matchResponse
+		if code, _ := e.do(t, http.MethodPost, "/v1/match", matchBody(hash), &m); code == http.StatusOK && m.Matched {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("hash %v never became servable; ingest stats: %+v", hash, e.srv.Ingestor().Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestReloadUnderIngestKeepsIngestedClusters pins that a reload never rolls
+// the served generation back to the boot artifact while ingest owns it:
+// after a threshold-triggered re-cluster has made a novel hash servable,
+// POST /v1/admin/reload and Server.Reload (memeserve's SIGHUP path) both
+// report the generation being served, and the novel hash still matches.
+func TestReloadUnderIngestKeepsIngestedClusters(t *testing.T) {
+	e, novel := newIngestEnv(t, memes.IngestConfig{Threshold: 5})
+	if code, raw := e.do(t, http.MethodPost, "/v1/ingest", ingestBody(t, novelPosts(novel, 5)), nil); code != http.StatusOK {
+		t.Fatalf("ingest status = %d: %s", code, raw)
+	}
+	waitMatched(t, e, novel)
+
+	check := func(via string, gen uint64) {
+		t.Helper()
+		var m matchResponse
+		if code, raw := e.do(t, http.MethodPost, "/v1/match", matchBody(novel), &m); code != http.StatusOK || !m.Matched {
+			t.Fatalf("after %s: novel match code=%d: %s", via, code, raw)
+		}
+		if m.Generation != 2 || gen != 2 {
+			t.Errorf("after %s: reload reported generation %d, match served %d; want 2 for both (no swap on an empty pool)", via, gen, m.Generation)
+		}
+		st := e.srv.Ingestor().Stats()
+		if st.Seq != 5 || st.Reclusters != 1 {
+			t.Errorf("after %s: ingest stats %+v, want Seq 5 and 1 re-cluster", via, st)
+		}
+	}
+	var st ReloadStatus
+	if code, raw := e.do(t, http.MethodPost, "/v1/admin/reload", nil, &st); code != http.StatusOK {
+		t.Fatalf("reload status = %d: %s", code, raw)
+	}
+	if want := len(e.srv.Engine().Clusters()); st.Clusters != want {
+		t.Errorf("reload reported %d clusters, serving %d", st.Clusters, want)
+	}
+	check("POST /v1/admin/reload", st.Generation)
+	st, err := e.srv.Reload()
+	if err != nil {
+		t.Fatalf("Server.Reload: %v", err)
+	}
+	check("Server.Reload", st.Generation)
+
+	var stats StatsDoc
+	if code, _ := e.do(t, http.MethodGet, "/v1/statsz", nil, &stats); code != http.StatusOK {
+		t.Fatalf("statsz status = %d", code)
+	}
+	if stats.Reloads != 2 {
+		t.Errorf("statsz reloads = %d, want 2", stats.Reloads)
+	}
+}
+
+// TestReloadUnderIngestFoldsThePool pins what a reload does for posts still
+// pooled below the threshold: it re-clusters them and publishes the result.
+func TestReloadUnderIngestFoldsThePool(t *testing.T) {
+	e, novel := newIngestEnv(t, memes.IngestConfig{Threshold: 1 << 20})
+	if code, raw := e.do(t, http.MethodPost, "/v1/ingest", ingestBody(t, novelPosts(novel, 5)), nil); code != http.StatusOK {
+		t.Fatalf("ingest status = %d: %s", code, raw)
+	}
+	var m matchResponse
+	if code, _ := e.do(t, http.MethodPost, "/v1/match", matchBody(novel), &m); code != http.StatusOK || m.Matched {
+		t.Fatalf("pooled novel hash: code=%d matched=%v, want a miss before the reload", code, m.Matched)
+	}
+	st, err := e.srv.Reload()
+	if err != nil {
+		t.Fatalf("Server.Reload: %v", err)
+	}
+	if st.Generation != 2 {
+		t.Errorf("reload generation = %d, want 2", st.Generation)
+	}
+	if code, raw := e.do(t, http.MethodPost, "/v1/match", matchBody(novel), &m); code != http.StatusOK || !m.Matched || m.Generation != 2 {
+		t.Fatalf("novel match after reload: code=%d: %s", code, raw)
+	}
+	if is := e.srv.Ingestor().Stats(); is.Pending != 0 || is.Pool != 0 || is.Reclusters != 1 {
+		t.Errorf("ingest stats %+v, want an empty pool and 1 re-cluster", is)
+	}
+}
+
 // bootFromDeltaDir starts a server the way memeserve boots with -delta-dir:
 // from the newest compacted base in dir when there is one (else snap), with
 // the -in corpus bound through WithDataset, then replays the journal.

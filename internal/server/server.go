@@ -9,7 +9,9 @@
 // requests: every request pins one engine generation from a memes.HotEngine
 // for its whole lifetime, so Reload (wired to POST /v1/admin/reload and, in
 // cmd/memeserve, SIGHUP) replaces the artifact atomically while in-flight
-// requests finish on the generation they started with.
+// requests finish on the generation they started with. With ingest on, the
+// Ingestor is the only writer of the served generation, and Reload
+// publishes its pooled posts instead of reloading the boot artifact.
 //
 // The JSON API:
 //
@@ -82,8 +84,8 @@ const DefaultRequestTimeout = 30 * time.Second
 // Config configures New.
 type Config struct {
 	// Loader produces the serving engine; it is called once by New and
-	// again on every Reload, so it must be safe to call repeatedly
-	// (typically: reopen the snapshot file and memes.LoadEngine it).
+	// again on every Reload without ingest, so it must be safe to call
+	// repeatedly (typically: memes.LoadEngineFile on the snapshot path).
 	Loader func() (*memes.Engine, error)
 	// MaxBodyBytes bounds request bodies; 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -199,24 +201,36 @@ func (s *Server) Engine() *memes.Engine { return s.hot.Engine() }
 // Generation returns the hot-swap generation (1 after New, +1 per Reload).
 func (s *Server) Generation() uint64 { return s.hot.Generation() }
 
-// Reload runs the loader and atomically swaps the fresh engine in. Requests
-// in flight finish on the generation they pinned; no request is dropped or
-// blocked. Reloads are serialised; a failed load leaves the old engine
-// serving.
+// Reload refreshes the served generation. Without ingest it runs the loader
+// and atomically swaps the fresh engine in. With ingest the Ingestor owns
+// the generation: Reload folds whatever is pooled and publishes it
+// (Ingestor.Recluster), and never calls the loader, whose artifact predates
+// every ingested post. Either way it reports the generation being served.
+// Requests in flight finish on the generation they pinned; no request is
+// dropped or blocked. Reloads are serialised. A failed load leaves the old
+// engine serving; under ingest, a compaction that fails after the publish
+// fails the reload with the new generation already served.
 func (s *Server) Reload() (ReloadStatus, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	start := time.Now()
-	eng, err := s.loader()
-	if err != nil {
-		return ReloadStatus{}, fmt.Errorf("server: reload: %w", err)
+	if s.ingestor != nil {
+		if err := s.ingestor.Recluster(context.TODO()); err != nil {
+			return ReloadStatus{}, fmt.Errorf("server: reload: %w", err)
+		}
+	} else {
+		eng, err := s.loader()
+		if err != nil {
+			return ReloadStatus{}, fmt.Errorf("server: reload: %w", err)
+		}
+		s.hot.Swap(eng)
 	}
-	s.hot.Swap(eng)
+	eng, gen := s.hot.Pin()
 	s.loadedAt.Store(time.Now())
 	s.stats.reloads.Add(1)
 	d := time.Since(start)
 	return ReloadStatus{
-		Generation: s.hot.Generation(),
+		Generation: gen,
 		Clusters:   len(eng.Clusters()),
 		Duration:   d,
 		LoadMS:     float64(d) / float64(time.Millisecond),
