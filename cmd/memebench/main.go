@@ -4,7 +4,8 @@
 // (BenchmarkEngineAssociate), the zero-alloc steady-state serve paths
 // (EngineAssociateSteady, EngineMatchSteady), one POST /v1/match through the
 // HTTP handler stack (ServeMatch), the Post wire codec over one 1,024-post
-// body (PostCodec/parse, PostCodec/append), Step 1 hashing
+// body (PostCodec/parse, PostCodec/append), the decision log's encode and
+// write of that request's 1,024 decisions (DecisionLog/upload), Step 1 hashing
 // (BenchmarkPhashExtraction), the streaming ingest fast path (Ingest,
 // posts/sec through Ingestor.Ingest), snapshot load-to-first-query per
 // format version (EngineSnapshotLoad), and Step 7 (ReportSections: the
@@ -149,6 +150,7 @@ func main() {
 	}
 	run("PostCodec/parse", codec.benchParse)
 	run("PostCodec/append", codec.benchAppend)
+	run("DecisionLog/upload", codec.benchUpload)
 	// Load-to-first-query runs before the heap-heavy Ingest benchmark so a
 	// GC cycle over ingest garbage cannot land inside the short timed loop.
 	for _, v := range []struct {
@@ -497,11 +499,13 @@ func (st *benchState) benchServeMatch(b *testing.B) {
 
 // postCodecBench is one /v1/associate body's worth of posts — the first
 // 1,024 of the small corpus, the profile memeload's associate_small draws
-// from — and the comma-separated run of their JSON objects that sits inside
-// the body's array. One op parses or prints all 1,024. Recorded, not gated.
+// from — the comma-separated run of their JSON objects that sits inside the
+// body's array, and the decisions the server logs for that request. One op
+// parses, prints or uploads all 1,024. Recorded, not gated.
 type postCodecBench struct {
-	posts []dataset.Post
-	body  []byte
+	posts     []dataset.Post
+	body      []byte
+	decisions []declog.Decision
 }
 
 func newPostCodecBench() (*postCodecBench, error) {
@@ -522,7 +526,41 @@ func newPostCodecBench() (*postCodecBench, error) {
 			return nil, err
 		}
 	}
+	if c.decisions, err = associateDecisions(ds, c.posts); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// associateDecisions associates posts on the engine of ds and returns the
+// decisions /v1/associate logs for them: one per post, sharing the clock
+// read, endpoint and generation of one LogBatch call.
+func associateDecisions(ds *dataset.Dataset, posts []dataset.Post) ([]declog.Decision, error) {
+	site, err := ds.Site(true)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := memes.NewEngine(context.Background(), ds, site)
+	if err != nil {
+		return nil, fmt.Errorf("building the small engine: %w", err)
+	}
+	assocs, err := eng.Associate(context.Background(), posts)
+	if err != nil {
+		return nil, fmt.Errorf("associating the posts: %w", err)
+	}
+	clusters := eng.Clusters()
+	now := time.Now().UnixNano()
+	out := make([]declog.Decision, len(posts))
+	for i := range posts {
+		out[i] = declog.Decision{Seq: uint64(i + 1), TimeUnixNS: now, Endpoint: "associate", Generation: 1,
+			Post: posts[i], ClusterID: -1, Distance: -1}
+	}
+	for _, a := range assocs {
+		d := &out[a.PostIndex]
+		d.Matched, d.ClusterID, d.Distance = true, a.ClusterID, a.Distance
+		d.Entry = clusters[a.ClusterID].EntryName()
+	}
+	return out, nil
 }
 
 // benchParse reads the body with one PostParser, as parsePosts does.
@@ -555,6 +593,28 @@ func (c *postCodecBench) benchAppend(b *testing.B) {
 			if buf, err = dataset.AppendPost(buf, &c.posts[j]); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// benchUpload hands the request's decisions to a FileSink writing to
+// os.DevNull: the NDJSON encode and one write, what the decision log's
+// flusher does per request off the serve path.
+func (c *postCodecBench) benchUpload(b *testing.B) {
+	sink, err := declog.NewFileSink(os.DevNull)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sink.Close()
+	ctx := context.Background()
+	if err := sink.Upload(ctx, c.decisions); err != nil { // sizes the sink's buffer
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sink.Upload(ctx, c.decisions); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

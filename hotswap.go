@@ -4,6 +4,7 @@ import (
 	"context"
 	"image"
 	"sync/atomic"
+	"time"
 
 	"github.com/memes-pipeline/memes/internal/faults"
 )
@@ -32,16 +33,23 @@ type HotEngine struct {
 	p atomic.Pointer[engineGen]
 }
 
-// engineGen is the atomically published (engine, generation) pair.
+// engineGen is the atomically published (engine, generation) pair, with
+// the time it was published.
 type engineGen struct {
 	eng *Engine
 	gen uint64
+	at  time.Time
 }
+
+// publishTime stamps a generation as it is published.
+//
+//memes:nondet the publish time is reported (statsz loaded_at), never served
+func publishTime() time.Time { return time.Now() }
 
 // NewHotEngine returns a handle serving queries from eng (generation 1).
 func NewHotEngine(eng *Engine) *HotEngine {
 	h := &HotEngine{}
-	h.p.Store(&engineGen{eng: eng, gen: 1})
+	h.p.Store(&engineGen{eng: eng, gen: 1, at: publishTime()})
 	return h
 }
 
@@ -53,6 +61,14 @@ func NewHotEngine(eng *Engine) *HotEngine {
 func (h *HotEngine) Pin() (*Engine, uint64) {
 	s := h.p.Load()
 	return s.eng, s.gen
+}
+
+// Published is Pin plus the time the pinned generation was published: when
+// NewHotEngine or the Swap that installed it ran. All three come from one
+// atomic load, so the time always belongs to the generation returned.
+func (h *HotEngine) Published() (eng *Engine, gen uint64, at time.Time) {
+	s := h.p.Load()
+	return s.eng, s.gen, s.at
 }
 
 // Engine pins the current engine; see Pin.
@@ -68,9 +84,10 @@ func (h *HotEngine) Swap(eng *Engine) (old *Engine) {
 	// Crash site for the chaos harness: dying here models a process lost
 	// after the rebuild finished but before the new generation published.
 	_ = faults.Inject("engine.swap")
+	now := publishTime()
 	for {
 		cur := h.p.Load()
-		if h.p.CompareAndSwap(cur, &engineGen{eng: eng, gen: cur.gen + 1}) {
+		if h.p.CompareAndSwap(cur, &engineGen{eng: eng, gen: cur.gen + 1, at: now}) {
 			return cur.eng
 		}
 	}

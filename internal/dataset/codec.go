@@ -23,9 +23,9 @@ import (
 func AppendPost(dst []byte, p *Post) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, `{"id":`...)
-	dst = strconv.AppendInt(dst, p.ID, 10)
+	dst = AppendInt(dst, p.ID)
 	dst = append(dst, `,"community":`...)
-	dst = strconv.AppendInt(dst, int64(p.Community), 10)
+	dst = AppendInt(dst, int64(p.Community))
 	if p.Subreddit != "" {
 		dst = append(dst, `,"subreddit":`...)
 		dst = AppendJSONString(dst, p.Subreddit)
@@ -44,16 +44,16 @@ func AppendPost(dst []byte, p *Post) ([]byte, error) {
 	dst = strconv.AppendBool(dst, p.HasImage)
 	if p.Hash != 0 {
 		dst = append(dst, `,"phash":`...)
-		dst = strconv.AppendUint(dst, p.Hash, 10)
+		dst = AppendUint(dst, p.Hash)
 	}
 	if p.Score != 0 {
 		dst = append(dst, `,"score":`...)
-		dst = strconv.AppendInt(dst, int64(p.Score), 10)
+		dst = AppendInt(dst, int64(p.Score))
 	}
 	dst = append(dst, `,"truth_meme":`...)
-	dst = strconv.AppendInt(dst, int64(p.TruthMeme), 10)
+	dst = AppendInt(dst, int64(p.TruthMeme))
 	dst = append(dst, `,"truth_root":`...)
-	dst = strconv.AppendInt(dst, int64(p.TruthRoot), 10)
+	dst = AppendInt(dst, int64(p.TruthRoot))
 	return append(dst, '}'), nil
 }
 
@@ -69,51 +69,129 @@ const digitPairs = "00010203040506070809" +
 	"80818283848586878889" +
 	"90919293949596979899"
 
-// appendPair appends v (0..99) as two digits.
-func appendPair(dst []byte, v int) []byte {
-	return append(dst, digitPairs[2*v], digitPairs[2*v+1])
+// AppendInt appends v in decimal, byte-identical to
+// strconv.AppendInt(dst, v, 10). Exported, like AppendJSONString, for every
+// hand-written encoder.
+//
+//memes:noalloc
+func AppendInt(dst []byte, v int64) []byte {
+	if v < 0 {
+		// -v wraps for math.MinInt64, whose uint64 is still its magnitude.
+		return AppendUint(append(dst, '-'), uint64(-v))
+	}
+	return AppendUint(dst, uint64(v))
 }
+
+// AppendUint appends v in decimal, byte-identical to
+// strconv.AppendUint(dst, v, 10). The value is cut into 8-digit chunks, each
+// printed with 32-bit arithmetic two digits per table read.
+//
+//memes:noalloc
+func AppendUint(dst []byte, v uint64) []byte {
+	if v < 1e8 {
+		return appendLead(dst, uint32(v))
+	}
+	hi, lo := v/1e8, uint32(v%1e8)
+	if hi < 1e8 {
+		dst = appendLead(dst, uint32(hi))
+	} else {
+		dst = appendLead(dst, uint32(hi/1e8)) // at most 1844
+		dst = append8(dst, uint32(hi%1e8))
+	}
+	return append8(dst, lo)
+}
+
+// appendLead appends v (below 1e8) without leading zeros.
+//
+//memes:noalloc
+func appendLead(dst []byte, v uint32) []byte {
+	if v < 1e4 {
+		return appendLead4(dst, v)
+	}
+	hi, lo := v/1e4, v%1e4
+	c, d := 2*(lo/100), 2*(lo%100)
+	dst = appendLead4(dst, hi)
+	return append(dst, digitPairs[c], digitPairs[c+1], digitPairs[d], digitPairs[d+1])
+}
+
+// appendLead4 appends v (below 1e4) without leading zeros.
+//
+//memes:noalloc
+func appendLead4(dst []byte, v uint32) []byte {
+	if v < 10 {
+		return append(dst, byte('0'+v))
+	}
+	if v < 100 {
+		return append(dst, digitPairs[2*v], digitPairs[2*v+1])
+	}
+	hi, lo := v/100, 2*(v%100)
+	if hi < 10 {
+		return append(dst, byte('0'+hi), digitPairs[lo], digitPairs[lo+1])
+	}
+	return append(dst, digitPairs[2*hi], digitPairs[2*hi+1], digitPairs[lo], digitPairs[lo+1])
+}
+
+// append8 appends v (below 1e8) as exactly eight digits.
+//
+//memes:noalloc
+func append8(dst []byte, v uint32) []byte {
+	hi, lo := v/1e4, v%1e4
+	a, b, c, d := 2*(hi/100), 2*(hi%100), 2*(lo/100), 2*(lo%100)
+	return append(dst, digitPairs[a], digitPairs[a+1], digitPairs[b], digitPairs[b+1],
+		digitPairs[c], digitPairs[c+1], digitPairs[d], digitPairs[d+1])
+}
+
+// The years appendUTC prints, 0000-01-01T00:00:00Z up to 10000-01-01, as
+// Unix seconds, and the days in a 400-year era of the Gregorian calendar.
+const (
+	year0ToUnix    = 62167219200
+	unixToYear1e4  = 253402300800
+	daysPer400Year = 146097
+)
 
 // appendUTC appends a UTC time with a year in 0..9999 as Time.AppendText
 // does: "YYYY-MM-DDTHH:MM:SS", the nanoseconds with their trailing zeros
 // trimmed (none at all when zero), then "Z". Any other time — another
 // Location, even one at offset zero, or another year — comes back false
-// with dst unextended.
+// with dst unextended. Date and clock come from t.Unix() in one pass, by
+// the civil-from-days arithmetic over 400-year eras.
 //
 //memes:noalloc
 func appendUTC(dst []byte, t time.Time) ([]byte, bool) {
 	if t.Location() != time.UTC {
 		return dst, false
 	}
-	year, month, day := t.Date()
-	if uint(year) > 9999 {
+	unix := t.Unix()
+	if unix < -year0ToUnix || unix >= unixToYear1e4 {
 		return dst, false
 	}
-	hour, min, sec := t.Clock()
-	dst = appendPair(dst, year/100)
-	dst = appendPair(dst, year%100)
-	dst = append(dst, '-')
-	dst = appendPair(dst, int(month))
-	dst = append(dst, '-')
-	dst = appendPair(dst, day)
-	dst = append(dst, 'T')
-	dst = appendPair(dst, hour)
-	dst = append(dst, ':')
-	dst = appendPair(dst, min)
-	dst = append(dst, ':')
-	dst = appendPair(dst, sec)
-	if ns := t.Nanosecond(); ns != 0 {
-		var frac [10]byte
-		frac[0] = '.'
-		for k := 9; k > 0; k-- {
-			frac[k] = byte('0' + ns%10)
-			ns /= 10
+	secs := uint64(unix + year0ToUnix)
+	sod := uint32(secs % 86400)
+	// Days since -0400-03-01: an era starts on March 1, so the leap day
+	// is the last day of its year. 0000-01-01 is 60 days before 0000-03-01.
+	days := uint32(secs/86400) + daysPer400Year - 60
+	era := days / daysPer400Year
+	doe := days - era*daysPer400Year                                   // 0..146096
+	yoe := (doe - doe/1460 + doe/36524 - doe/(daysPer400Year-1)) / 365 // 0..399
+	doy := doe - (365*yoe + yoe/4 - yoe/100)                           // 0..365, from March 1
+	mp := (5*doy + 2) / 153                                            // 0..11, from March
+	day := doy - (153*mp+2)/5 + 1
+	month, year := mp+3, era*400+yoe
+	if month > 12 {
+		month -= 12
+		year++
+	}
+	year -= 400
+	y, yy, mo, d := 2*(year/100), 2*(year%100), 2*month, 2*day
+	h, mi, sec := 2*(sod/3600), 2*(sod/60%60), 2*(sod%60)
+	dst = append(dst, digitPairs[y], digitPairs[y+1], digitPairs[yy], digitPairs[yy+1], '-',
+		digitPairs[mo], digitPairs[mo+1], '-', digitPairs[d], digitPairs[d+1], 'T',
+		digitPairs[h], digitPairs[h+1], ':', digitPairs[mi], digitPairs[mi+1], ':', digitPairs[sec], digitPairs[sec+1])
+	if ns := uint32(t.Nanosecond()); ns != 0 {
+		dst = append8(append(dst, '.', byte('0'+ns/1e8)), ns%1e8)
+		for dst[len(dst)-1] == '0' { // a nonzero digit stops it before '.'
+			dst = dst[:len(dst)-1]
 		}
-		n := len(frac)
-		for frac[n-1] == '0' {
-			n--
-		}
-		dst = append(dst, frac[:n]...)
 	}
 	return append(dst, 'Z'), true
 }

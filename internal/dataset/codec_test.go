@@ -94,6 +94,56 @@ func TestAppendPostMatchesJSON(t *testing.T) {
 	}
 }
 
+// FuzzAppendInts: AppendUint and AppendInt are strconv's base-10 appends,
+// byte for byte, after whatever dst already holds. Each seed's bits are also
+// read as the other type, so the signed extremes cover the unsigned ones.
+func FuzzAppendInts(f *testing.F) {
+	for _, v := range []uint64{0, 9, 10, 99, 100, 1e8 - 1, 1e8, 1e16, math.MaxUint64} {
+		f.Add(v, int64(v))
+	}
+	f.Add(uint64(1<<63), int64(math.MinInt64))
+	f.Add(uint64(math.MaxInt64), int64(math.MaxInt64))
+	f.Fuzz(func(t *testing.T, u uint64, i int64) {
+		prefix := []byte("kept")
+		check := func(name string, got, want []byte) {
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s = %q, strconv wrote %q", name, got, want)
+			}
+		}
+		for _, v := range []uint64{u, uint64(i)} {
+			check(fmt.Sprintf("AppendUint(%d)", v), AppendUint(prefix, v), strconv.AppendUint(prefix, v, 10))
+			check(fmt.Sprintf("AppendInt(%d)", int64(v)), AppendInt(prefix, int64(v)), strconv.AppendInt(prefix, int64(v), 10))
+		}
+	})
+}
+
+// TestAppendUTCEveryDay: appendUTC prints every day of years 0..9999, at
+// its first instant and at its last nanosecond, as Time.AppendText does, and
+// declines the years either side and a zone that only looks like UTC.
+func TestAppendUTCEveryDay(t *testing.T) {
+	var got, want []byte
+	last := time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC)
+	for day := time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC); !day.After(last); day = day.AddDate(0, 0, 1) {
+		for _, tm := range []time.Time{day, day.Add(24*time.Hour - 1)} {
+			var ok bool
+			got, ok = appendUTC(got[:0], tm)
+			want, _ = tm.AppendText(want[:0])
+			if !ok || !bytes.Equal(got, want) {
+				t.Fatalf("appendUTC(%v) = %q, %v; Time.AppendText wrote %q", tm, got, ok, want)
+			}
+		}
+	}
+	for _, tm := range []time.Time{
+		time.Date(-1, 12, 31, 23, 59, 59, 999999999, time.UTC),
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(2016, 7, 1, 0, 0, 0, 0, time.FixedZone("UTC", 0)),
+	} {
+		if got, ok := appendUTC([]byte("kept"), tm); ok || string(got) != "kept" {
+			t.Errorf("appendUTC(%v) = %q, %v; want it declined with dst unextended", tm, got, ok)
+		}
+	}
+}
+
 // TestPostParserMatchesJSON: whatever the parser accepts, json.Unmarshal
 // decodes to the same Post — zone offsets included, since both hand the
 // literal to Time.UnmarshalJSON — and it accepts everything AppendPost emits

@@ -276,21 +276,49 @@ func (l *Logger) flush(ctx context.Context) {
 
 // AppendDecision appends d as one NDJSON line: byte-identical to
 // json.Marshal(d) followed by a newline, which is what `memereport -replay`
-// and Read parse back. The error is json.Marshal's own (see
-// dataset.AppendPost); dst comes back unextended with it.
+// and Read parse back. The line is the seq, the head, the post and the tail;
+// appendBatch writes the same four parts. The error is json.Marshal's own
+// (see dataset.AppendPost); dst comes back unextended with it.
 //
 //memes:noalloc
 func AppendDecision(dst []byte, d *Decision) ([]byte, error) {
 	start := len(dst)
-	dst = append(dst, `{"seq":`...)
-	dst = strconv.AppendUint(dst, d.Seq, 10)
+	dst = appendHead(appendSeq(dst, d), d)
+	return appendPostTail(dst, start, d)
+}
+
+// appendSeq opens a line: `{"seq":S`.
+//
+//memes:noalloc
+func appendSeq(dst []byte, d *Decision) []byte {
+	return dataset.AppendUint(append(dst, `{"seq":`...), d.Seq)
+}
+
+// appendHead appends the fields every decision of one LogBatch call shares:
+// `,"time_unix_ns":T,"endpoint":E,"generation":G,"post":`.
+//
+//memes:noalloc
+func appendHead(dst []byte, d *Decision) []byte {
 	dst = append(dst, `,"time_unix_ns":`...)
-	dst = strconv.AppendInt(dst, d.TimeUnixNS, 10)
+	dst = dataset.AppendInt(dst, d.TimeUnixNS)
 	dst = append(dst, `,"endpoint":`...)
 	dst = dataset.AppendJSONString(dst, d.Endpoint)
 	dst = append(dst, `,"generation":`...)
-	dst = strconv.AppendUint(dst, d.Generation, 10)
-	dst = append(dst, `,"post":`...)
+	dst = dataset.AppendUint(dst, d.Generation)
+	return append(dst, `,"post":`...)
+}
+
+// sameHead reports whether a and b print the same head.
+func sameHead(a, b *Decision) bool {
+	return a.TimeUnixNS == b.TimeUnixNS && a.Generation == b.Generation && a.Endpoint == b.Endpoint
+}
+
+// appendPostTail closes the line begun at dst[start:] with the post and
+// `,"matched":…}` and a newline; when the post cannot be encoded, dst comes
+// back cut to start.
+//
+//memes:noalloc
+func appendPostTail(dst []byte, start int, d *Decision) ([]byte, error) {
 	dst, err := dataset.AppendPost(dst, &d.Post)
 	if err != nil {
 		return dst[:start], err
@@ -298,9 +326,9 @@ func AppendDecision(dst []byte, d *Decision) ([]byte, error) {
 	dst = append(dst, `,"matched":`...)
 	dst = strconv.AppendBool(dst, d.Matched)
 	dst = append(dst, `,"cluster_id":`...)
-	dst = strconv.AppendInt(dst, int64(d.ClusterID), 10)
+	dst = dataset.AppendInt(dst, int64(d.ClusterID))
 	dst = append(dst, `,"distance":`...)
-	dst = strconv.AppendInt(dst, int64(d.Distance), 10)
+	dst = dataset.AppendInt(dst, int64(d.Distance))
 	if d.Entry != "" {
 		dst = append(dst, `,"entry":`...)
 		dst = dataset.AppendJSONString(dst, d.Entry)
@@ -308,16 +336,37 @@ func AppendDecision(dst []byte, d *Decision) ([]byte, error) {
 	return append(dst, '}', '\n'), nil
 }
 
-// appendBatch encodes a batch as NDJSON; a decision that cannot be encoded
-// fails the whole batch before any of it reaches the sink.
+// appendBatch encodes a batch as NDJSON, line for line what AppendDecision
+// writes. A run of decisions that print the same head — one LogBatch call
+// shares its clock read, endpoint and generation — encodes it once and
+// copies those bytes into every later line of the run. A decision that
+// cannot be encoded fails the whole batch before any of it reaches the sink.
+//
+//memes:noalloc
 func appendBatch(dst []byte, batch []Decision) ([]byte, error) {
+	headAt, headEnd := 0, 0 // the last head encoded, dst[headAt:headEnd]
 	for i := range batch {
+		d := &batch[i]
+		start := len(dst)
+		dst = appendSeq(dst, d)
+		if i > 0 && sameHead(&batch[i-1], d) {
+			dst = append(dst, dst[headAt:headEnd]...)
+		} else {
+			headAt = len(dst)
+			dst = appendHead(dst, d)
+			headEnd = len(dst)
+		}
 		var err error
-		if dst, err = AppendDecision(dst, &batch[i]); err != nil {
-			return dst, fmt.Errorf("declog: encoding decision: %w", err)
+		if dst, err = appendPostTail(dst, start, d); err != nil {
+			return dst, encodingError(err)
 		}
 	}
 	return dst, nil
+}
+
+// encodingError is appendBatch's cold path.
+func encodingError(err error) error {
+	return fmt.Errorf("declog: encoding decision: %w", err)
 }
 
 // FileSink appends decisions as NDJSON lines (one Decision JSON document

@@ -556,3 +556,68 @@ func FuzzAppendDecision(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendBatch: a batch whose time, endpoint and generation sometimes
+// change in the middle of a run encodes to the concatenated
+// json.Marshal(d)+"\n" of its decisions, and one decision json.Marshal
+// refuses (a year-10000 post, op 0xf0 and up) fails the whole batch. Each op
+// byte derives one decision: bit 0 moves the time, bit 1 the endpoint and
+// bit 2 the generation; the rest fill the post and the tail.
+func FuzzAppendBatch(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 2, 2, 4, 4, 7, 0, 0})
+	f.Add([]byte{0, 8, 0, 0xf0, 0, 0})
+	f.Add([]byte{0x13, 0x13, 0x2d, 0x2d, 0x6a, 0x6a, 0x81})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		endpoints := [...]string{"associate", "match", "<&>", ""}
+		batch := make([]Decision, 0, len(ops))
+		d := Decision{TimeUnixNS: 1500000000000000000, Endpoint: endpoints[0], Generation: 1}
+		for i, op := range ops {
+			if op&1 != 0 {
+				d.TimeUnixNS = d.TimeUnixNS*-7 + int64(op)
+			}
+			if op&2 != 0 {
+				d.Endpoint = endpoints[(i+int(op>>3))%len(endpoints)]
+			}
+			if op&4 != 0 {
+				d.Generation = d.Generation*31 + uint64(op)<<56
+			}
+			ts := time.Unix(int64(op)*86400*397-int64(i)*3607, int64(op)*1000003).UTC()
+			if op >= 0xf0 {
+				ts = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+			}
+			d.Seq = uint64(i) * 0x9e3779b97f4a7c15
+			d.Post = dataset.Post{ID: int64(i) - int64(op)<<40, Community: dataset.Community(op % 5), Timestamp: ts,
+				HasImage: op&8 != 0, Hash: uint64(op) * 0x9e3779b97f4a7c15, Score: int(op) - 128, TruthMeme: int(op >> 4), TruthRoot: -1}
+			d.Matched, d.ClusterID, d.Distance, d.Entry = op&16 != 0, int(op)*int(op), int(op%11), ""
+			if d.Matched {
+				d.Entry = "smug-frog"
+			}
+			batch = append(batch, d)
+		}
+
+		var want []byte
+		var wantErr error
+		for i := range batch {
+			line, err := json.Marshal(&batch[i])
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(append(want, line...), '\n')
+		}
+		prefix := []byte("kept\n")
+		got, err := appendBatch(prefix, batch)
+		if wantErr != nil {
+			if err == nil || !strings.Contains(err.Error(), "encoding decision") {
+				t.Fatalf("appendBatch error %v, json.Marshal refused a decision with %v", err, wantErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("appendBatch: %v", err)
+		}
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("appendBatch:\n%s\njson.Marshal:\n%s", got[len(prefix):], want)
+		}
+	})
+}

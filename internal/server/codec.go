@@ -133,11 +133,11 @@ func parsePosts(parser *dataset.PostParser, body []byte, posts []memes.Post) ([]
 //memes:noalloc
 func appendAssociateResponse(dst []byte, posts int, gen uint64, assocs []memes.Association, clusters []memes.ClusterInfo) []byte {
 	dst = append(dst, `{"posts":`...)
-	dst = strconv.AppendInt(dst, int64(posts), 10)
+	dst = dataset.AppendInt(dst, int64(posts))
 	dst = append(dst, `,"matched":`...)
-	dst = strconv.AppendInt(dst, int64(len(assocs)), 10)
+	dst = dataset.AppendInt(dst, int64(len(assocs)))
 	dst = append(dst, `,"generation":`...)
-	dst = strconv.AppendUint(dst, gen, 10)
+	dst = dataset.AppendUint(dst, gen)
 	dst = append(dst, `,"associations":[`...)
 	for i := range assocs {
 		a := &assocs[i]
@@ -145,11 +145,11 @@ func appendAssociateResponse(dst []byte, posts int, gen uint64, assocs []memes.A
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"post_index":`...)
-		dst = strconv.AppendInt(dst, int64(a.PostIndex), 10)
+		dst = dataset.AppendInt(dst, int64(a.PostIndex))
 		dst = append(dst, `,"cluster_id":`...)
-		dst = strconv.AppendInt(dst, int64(a.ClusterID), 10)
+		dst = dataset.AppendInt(dst, int64(a.ClusterID))
 		dst = append(dst, `,"distance":`...)
-		dst = strconv.AppendInt(dst, int64(a.Distance), 10)
+		dst = dataset.AppendInt(dst, int64(a.Distance))
 		if entry := clusters[a.ClusterID].EntryName(); entry != "" {
 			dst = append(dst, `,"entry":`...)
 			dst = dataset.AppendJSONString(dst, entry)
@@ -233,9 +233,9 @@ func appendMatchResponse(dst []byte, h memes.Hash, gen uint64, m memes.Match, ci
 	dst = append(dst, `{"matched":`...)
 	dst = strconv.AppendBool(dst, ci != nil)
 	dst = append(dst, `,"cluster_id":`...)
-	dst = strconv.AppendInt(dst, int64(m.ClusterID), 10)
+	dst = dataset.AppendInt(dst, int64(m.ClusterID))
 	dst = append(dst, `,"distance":`...)
-	dst = strconv.AppendInt(dst, int64(m.Distance), 10)
+	dst = dataset.AppendInt(dst, int64(m.Distance))
 	if ci != nil {
 		if entry := ci.EntryName(); entry != "" {
 			dst = append(dst, `,"entry":`...)
@@ -249,6 +249,6 @@ func appendMatchResponse(dst []byte, h memes.Hash, gen uint64, m memes.Match, ci
 	dst = append(dst, `,"hash":"`...)
 	dst, _ = h.AppendText(dst)
 	dst = append(dst, `","generation":`...)
-	dst = strconv.AppendUint(dst, gen, 10)
+	dst = dataset.AppendUint(dst, gen)
 	return append(dst, "}\n"...)
 }

@@ -364,6 +364,38 @@ func waitMatched(t *testing.T, e *testEnv, hash memes.Hash) {
 	}
 }
 
+// TestLoadedAtFollowsPublishedGeneration: statsz's loaded_at is when the
+// served generation was published, so a threshold re-cluster under ingest
+// moves it along with the generation, not only New and Reload.
+func TestLoadedAtFollowsPublishedGeneration(t *testing.T) {
+	e, novel := newIngestEnv(t, memes.IngestConfig{Threshold: 5})
+	statsz := func() (StatsDoc, time.Time) {
+		t.Helper()
+		var st StatsDoc
+		if code, raw := e.do(t, http.MethodGet, "/v1/statsz", nil, &st); code != http.StatusOK {
+			t.Fatalf("statsz status = %d: %s", code, raw)
+		}
+		at, err := time.Parse(time.RFC3339Nano, st.LoadedAt)
+		if err != nil {
+			t.Fatalf("loaded_at %q: %v", st.LoadedAt, err)
+		}
+		return st, at
+	}
+	if st, _ := statsz(); st.Generation != 1 {
+		t.Fatalf("generation before ingest = %d, want 1", st.Generation)
+	}
+	ingestAt := time.Now()
+	if code, raw := e.do(t, http.MethodPost, "/v1/ingest", ingestBody(t, novelPosts(novel, 5)), nil); code != http.StatusOK {
+		t.Fatalf("ingest status = %d: %s", code, raw)
+	}
+	waitMatched(t, e, novel)
+	st, at := statsz()
+	if st.Generation != 2 || !at.After(ingestAt) {
+		t.Errorf("after the re-cluster: generation %d loaded at %s, want generation 2 loaded after %s",
+			st.Generation, st.LoadedAt, ingestAt.UTC().Format(time.RFC3339Nano))
+	}
+}
+
 // TestReloadUnderIngestKeepsIngestedClusters pins that a reload never rolls
 // the served generation back to the boot artifact while ingest owns it:
 // after a threshold-triggered re-cluster has made a novel hash servable,

@@ -120,8 +120,7 @@ type Server struct {
 	ingestor *memes.Ingestor // nil when ingest is disabled
 	stats    counters
 	started  time.Time
-	loadedAt atomic.Value // time.Time of the last successful (re)load
-	reloadMu sync.Mutex   // serialises Reload; queries never take it
+	reloadMu sync.Mutex // serialises Reload; queries never take it
 	maxBody  int64
 
 	sem        chan struct{} // admission slots; nil disables admission control
@@ -179,7 +178,6 @@ func New(cfg Config) (*Server, error) {
 	if maxInFlight > 0 {
 		s.sem = make(chan struct{}, maxInFlight)
 	}
-	s.loadedAt.Store(time.Now())
 	if cfg.Ingest != nil {
 		ing, err := cfg.Ingest(s.hot)
 		if err != nil {
@@ -226,7 +224,6 @@ func (s *Server) Reload() (ReloadStatus, error) {
 		s.hot.Swap(eng)
 	}
 	eng, gen := s.hot.Pin()
-	s.loadedAt.Store(time.Now())
 	s.stats.reloads.Add(1)
 	d := time.Since(start)
 	return ReloadStatus{

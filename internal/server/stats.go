@@ -32,11 +32,11 @@ type counters struct {
 // /v1/metrics renders the same snapshot through its families table, so the
 // two views agree by construction. The document types live in wire.go.
 func (s *Server) statsDoc() StatsDoc {
-	eng, gen := s.hot.Pin()
+	eng, gen, publishedAt := s.hot.Published()
 	d := StatsDoc{
 		UptimeMS:          float64(time.Since(s.started)) / float64(time.Millisecond),
 		Generation:        gen,
-		LoadedAt:          s.loadedAt.Load().(time.Time).UTC().Format(time.RFC3339Nano),
+		LoadedAt:          publishedAt.UTC().Format(time.RFC3339Nano),
 		Clusters:          len(eng.Clusters()),
 		AnnotatedClusters: annotatedCount(eng),
 		SnapshotVersion:   eng.SnapshotVersion(),
