@@ -11,7 +11,7 @@ import (
 // so no goroutine can outlive a cancelled request.
 //
 //   - Naked go statements are violations everywhere except internal/parallel
-//     (the worker-pool implementation), cmd/, and examples/. A deliberately
+//     (the worker-pool implementation) and cmd/. A deliberately
 //     owned goroutine (joined on shutdown) is annotated
 //     //memes:goroutine <reason>.
 //   - Calls to the bare parallel.For/Map/MapErr/MapChunks wrappers are

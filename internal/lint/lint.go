@@ -246,16 +246,10 @@ func inDeterministicScope(path string) bool {
 }
 
 // inCtxFlowScope gates ctxflow: everything except internal/parallel itself
-// (the only package allowed to spawn raw goroutines for its worker pools),
-// commands, and examples.
+// (the only package allowed to spawn raw goroutines for its worker pools)
+// and commands.
 func inCtxFlowScope(path string) bool {
-	if pathMatches(path, "internal/parallel") {
-		return false
-	}
-	if strings.Contains(path, "/cmd/") || strings.Contains(path, "/examples/") {
-		return false
-	}
-	return true
+	return !pathMatches(path, "internal/parallel") && !strings.Contains(path, "/cmd/")
 }
 
 // jsonWireScopes are the packages whose structs define the HTTP and CLI
