@@ -68,12 +68,7 @@ func getBench(b *testing.B) *benchState {
 			benchErr = fmt.Errorf("running pipeline: %w", err)
 			return
 		}
-		met, err := distance.New()
-		if err != nil {
-			benchErr = fmt.Errorf("building metric: %w", err)
-			return
-		}
-		bench = benchState{ds: ds, res: res, met: met}
+		bench = benchState{ds: ds, res: res, met: distance.New()}
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -171,19 +166,10 @@ func BenchmarkTable7_EventCounts(b *testing.B) {
 	}
 }
 
+// BenchmarkTable8_ClusteringSweep times Table 8 on a fresh report, which
+// runs the /pol/ eps sweep Figure 17 shares.
 func BenchmarkTable8_ClusteringSweep(b *testing.B) {
-	st := getBench(b)
-	var rows []analysis.SweepRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = analysis.ClusterSweep(st.ds, []int{2, 4, 6, 8, 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.NoisePercent, fmt.Sprintf("noise_pct_eps%d", r.Eps))
-	}
+	benchRender(b, (*analysis.Report).RenderTable8)
 }
 
 func BenchmarkTable9_ScreenshotDataset(b *testing.B) {
@@ -337,64 +323,35 @@ func BenchmarkFigure12_NormalizedInfluence(b *testing.B) {
 	b.ReportMetric(inf.TotalExternal[int(dataset.Pol)]*100, "ext_pct_pol")
 }
 
-func BenchmarkFigure13_RacistInfluence(b *testing.B) {
-	benchComparison(b, analysis.RacistMemes, analysis.NonRacistMemes, false)
+// BenchmarkFigures13_15_RacistInfluence and
+// BenchmarkFigures14_16_PoliticalInfluence time each comparison section on a
+// fresh report: both groups' fits and the per-cell KS tests.
+func BenchmarkFigures13_15_RacistInfluence(b *testing.B) {
+	benchRender(b, (*analysis.Report).RenderInfluenceRacist)
 }
 
-func BenchmarkFigure14_PoliticalInfluence(b *testing.B) {
-	benchComparison(b, analysis.PoliticalMemes, analysis.NonPoliticalMemes, false)
+func BenchmarkFigures14_16_PoliticalInfluence(b *testing.B) {
+	benchRender(b, (*analysis.Report).RenderInfluencePolitical)
 }
 
-func BenchmarkFigure15_RacistNormalized(b *testing.B) {
-	benchComparison(b, analysis.RacistMemes, analysis.NonRacistMemes, true)
-}
-
-func BenchmarkFigure16_PoliticalNormalized(b *testing.B) {
-	benchComparison(b, analysis.PoliticalMemes, analysis.NonPoliticalMemes, true)
-}
-
-func benchComparison(b *testing.B, group, complement analysis.MemeGroup, normalized bool) {
-	st := getBench(b)
-	cfg := analysis.DefaultInfluenceConfig()
-	var cmp *analysis.GroupComparison
-	var err error
-	for i := 0; i < b.N; i++ {
-		cmp, err = analysis.CompareGroups(st.res, group, complement, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	pol := int(dataset.Pol)
-	if normalized {
-		b.ReportMetric(cmp.Group.TotalExternal[pol]*100, "group_ext_pct_pol")
-		b.ReportMetric(cmp.Complement.TotalExternal[pol]*100, "complement_ext_pct_pol")
-	} else {
-		b.ReportMetric(cmp.Group.Raw[pol][int(dataset.Reddit)]*100, "group_pct_reddit_from_pol")
-		b.ReportMetric(cmp.Complement.Raw[pol][int(dataset.Reddit)]*100, "complement_pct_reddit_from_pol")
-	}
-	sig := 0
-	for _, row := range cmp.Significant {
-		for _, s := range row {
-			if s {
-				sig++
-			}
-		}
-	}
-	b.ReportMetric(float64(sig), "significant_cells")
-}
-
+// BenchmarkFigure17_ClusterFalsePositives times Figure 17 on a fresh report,
+// which runs the /pol/ eps sweep Table 8 shares.
 func BenchmarkFigure17_ClusterFalsePositives(b *testing.B) {
+	benchRender(b, (*analysis.Report).RenderFigure17)
+}
+
+// benchRender times one report section, each iteration on a fresh Report so
+// the section computes what it needs rather than reading a memo.
+func benchRender(b *testing.B, render func(*analysis.Report) (string, error)) {
 	st := getBench(b)
-	var rows []analysis.FalsePositiveRow
-	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = analysis.ClusterFalsePositives(st.ds, []int{6, 8, 10})
+		rep, err := analysis.NewReport(st.res)
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.MeanFraction, fmt.Sprintf("mean_fp_eps%d", r.Eps))
+		if _, err := render(rep); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -793,38 +750,6 @@ func BenchmarkAblation_IndexVsBrute(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_MetricWeights compares the full-mode weights against a
-// perceptual-only metric by measuring Figure 7 component purity under each.
-func BenchmarkAblation_MetricWeights(b *testing.B) {
-	st := getBench(b)
-	run := func(b *testing.B, m *distance.Metric) {
-		var purity float64
-		for i := 0; i < b.N; i++ {
-			g, err := analysis.BuildClusterGraph(st.res, m, analysis.DefaultClusterGraphConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			ps := g.ComponentPurity()
-			purity = 0
-			for _, p := range ps {
-				purity += p
-			}
-			if len(ps) > 0 {
-				purity /= float64(len(ps))
-			}
-		}
-		b.ReportMetric(purity, "mean_component_purity")
-	}
-	b.Run("full_mode", func(b *testing.B) { run(b, st.met) })
-	b.Run("perceptual_only", func(b *testing.B) {
-		m, err := distance.New(distance.WithFullModeWeights(distance.PartialModeWeights()))
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, m)
-	})
-}
-
 // BenchmarkAblation_GraphThreshold sweeps the Figure 7 edge threshold kappa.
 func BenchmarkAblation_GraphThreshold(b *testing.B) {
 	st := getBench(b)
@@ -862,32 +787,6 @@ func BenchmarkAblation_HawkesKernel(b *testing.B) {
 				}
 			}
 			b.ReportMetric(inf.TotalExternal[int(dataset.TheDonald)]*100, "ext_pct_thedonald")
-		})
-	}
-}
-
-// BenchmarkAblation_HashAlgorithms compares the DCT pHash used by the
-// pipeline against the aHash and dHash alternatives, both in cost and in how
-// far a low-strength variant drifts from its template (the robustness
-// property the clustering threshold depends on).
-func BenchmarkAblation_HashAlgorithms(b *testing.B) {
-	base := imaging.Template(42)
-	variant := imaging.Variant(base, 7, 0.25)
-	for _, alg := range []phash.Algorithm{phash.DCT, phash.Average, phash.Difference} {
-		b.Run(alg.String(), func(b *testing.B) {
-			var hBase, hVar phash.Hash
-			var err error
-			for i := 0; i < b.N; i++ {
-				hBase, err = phash.FromImageWith(base, alg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				hVar, err = phash.FromImageWith(variant, alg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(phash.Distance(hBase, hVar)), "variant_distance_bits")
 		})
 	}
 }

@@ -126,13 +126,9 @@ func main() {
 	}
 
 	if *graphOut != "" {
-		metric, err := distance.New()
-		if err != nil {
-			log.Fatalf("building metric: %v", err)
-		}
 		cfg := analysis.DefaultClusterGraphConfig()
 		cfg.Layout = true // the exported JSON carries node coordinates
-		g, err := analysis.BuildClusterGraph(res, metric, cfg)
+		g, err := analysis.BuildClusterGraph(res, distance.New(), cfg)
 		if err != nil {
 			log.Fatalf("building cluster graph: %v", err)
 		}

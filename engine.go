@@ -39,16 +39,9 @@ type Engine struct {
 // WithProgress.
 type StageEvent = pipeline.StageEvent
 
-// ProgressFunc observes stage events during the build and during Result
-// materialisation.
-type ProgressFunc = pipeline.ProgressFunc
-
 // RunStats records per-stage wall time, throughput, and output counts; it is
 // derived from the StageEvent stream.
 type RunStats = pipeline.RunStats
-
-// StageStats records the wall-clock cost of one pipeline stage.
-type StageStats = pipeline.StageStats
 
 // Post is a single post on a Web community.
 type Post = dataset.Post
@@ -65,17 +58,10 @@ type Match = pipeline.Match
 type Option func(*engineConfig)
 
 type engineConfig struct {
-	cfg      PipelineConfig
-	progress ProgressFunc
+	cfg      pipeline.Config
+	progress pipeline.ProgressFunc
 	ds       *Dataset    // LoadEngine only: dataset bound for Result materialisation
 	deltas   []io.Reader // LoadEngine only: delta journals replayed over the base
-}
-
-// WithConfig replaces the engine's entire pipeline configuration. It is
-// applied in option order, so thresholds set by earlier options are
-// overwritten; pass it first when combining with the field-level options.
-func WithConfig(cfg PipelineConfig) Option {
-	return func(o *engineConfig) { o.cfg = cfg }
 }
 
 // WithWorkers bounds the number of concurrent workers used by every build
@@ -88,12 +74,6 @@ func WithWorkers(n int) Option {
 // WithEps sets the DBSCAN clustering radius (Steps 2-3); the paper uses 8.
 func WithEps(eps int) Option {
 	return func(o *engineConfig) { o.cfg.Clustering.Eps = eps }
-}
-
-// WithMinPts sets the DBSCAN core-point density (Steps 2-3); the paper
-// uses 5.
-func WithMinPts(minPts int) Option {
-	return func(o *engineConfig) { o.cfg.Clustering.MinPts = minPts }
 }
 
 // WithAnnotationThreshold sets θ for matching cluster medoids against KYM
@@ -113,9 +93,11 @@ func WithAssociationThreshold(theta int) Option {
 // — see IndexStrategies for the full registered set. Every strategy serves
 // bitwise-identical Associate/Match/Result output; the choice only shapes
 // the cost profile (banded lookups vs single-tree pruning vs parallel
-// sharded fan-out). Applies to both NewEngine and LoadEngine — snapshots
-// never persist the index itself, so a snapshot written under one strategy
-// loads under any other.
+// sharded fan-out). Applies to both NewEngine and LoadEngine. A snapshot's
+// bytes do not depend on the strategy, so a snapshot written under one
+// loads under any other: IndexBKTree serves the sealed medoid tree a v2
+// snapshot stores, and the other strategies index the stored medoids at
+// load.
 func WithIndex(s IndexStrategy) Option {
 	return func(o *engineConfig) { o.cfg.Index = s }
 }
@@ -155,7 +137,7 @@ func WithProgress(fn func(StageEvent)) Option {
 // Use ds.Site(true) for a site with screenshots already filtered (Step 4).
 // The build stops promptly with ctx's error when ctx is cancelled.
 func NewEngine(ctx context.Context, ds *Dataset, site *AnnotationSite, opts ...Option) (*Engine, error) {
-	ec := engineConfig{cfg: DefaultPipelineConfig()}
+	ec := engineConfig{cfg: pipeline.DefaultConfig()}
 	for _, opt := range opts {
 		opt(&ec)
 	}
@@ -176,10 +158,10 @@ func NewEngine(ctx context.Context, ds *Dataset, site *AnnotationSite, opts ...O
 // (Steps 2-5 output: config echo, per-community clusterings, cluster
 // metadata, medoid hashes) to w. LoadEngine reconstitutes a serving engine
 // from the snapshot without re-running the build — build once on a big box,
-// ship the snapshot, serve anywhere. The medoid index is rebuilt from the
-// persisted medoids on load, so snapshots are index-strategy-agnostic; the
-// dataset and the annotation site are likewise not persisted (the site is
-// re-bound at load, a dataset optionally so).
+// ship the snapshot, serve anywhere. Save writes SnapshotLatest, which also
+// stores the sealed medoid BK-tree; the bytes are the same under every
+// index strategy (see WithIndex). The dataset and the annotation site are
+// not persisted (the site is re-bound at load, a dataset optionally so).
 func (e *Engine) Save(w io.Writer) error { return e.build.Save(w) }
 
 // Snapshot format versions accepted by Engine.SaveVersion. Save always
@@ -224,11 +206,11 @@ func (e *Engine) Close() error { return e.build.Close() }
 // WithProgress observes the single "load" stage event pair (the observable
 // proof that Steps 2-5 never ran).
 func LoadEngine(r io.Reader, site *AnnotationSite, opts ...Option) (*Engine, error) {
-	ec := engineConfig{cfg: DefaultPipelineConfig()}
+	ec := engineConfig{cfg: pipeline.DefaultConfig()}
 	for _, opt := range opts {
 		opt(&ec)
 	}
-	b, err := pipeline.LoadBuild(r, site, ec.ds, func(cfg *PipelineConfig) {
+	b, err := pipeline.LoadBuild(r, site, ec.ds, func(cfg *pipeline.Config) {
 		// Re-apply the options over the decoded snapshot configuration, so
 		// explicit overrides win and everything else keeps the build-time
 		// echo.
@@ -257,11 +239,11 @@ func LoadEngine(r io.Reader, site *AnnotationSite, opts ...Option) (*Engine, err
 // a fresh load. All LoadEngine options apply, including WithDataset and
 // WithDeltas.
 func LoadEngineFile(path string, site *AnnotationSite, opts ...Option) (*Engine, error) {
-	ec := engineConfig{cfg: DefaultPipelineConfig()}
+	ec := engineConfig{cfg: pipeline.DefaultConfig()}
 	for _, opt := range opts {
 		opt(&ec)
 	}
-	b, err := pipeline.LoadBuildFile(path, site, ec.ds, func(cfg *PipelineConfig) {
+	b, err := pipeline.LoadBuildFile(path, site, ec.ds, func(cfg *pipeline.Config) {
 		over := engineConfig{cfg: *cfg}
 		for _, opt := range opts {
 			opt(&over)
@@ -331,13 +313,15 @@ func (e *Engine) AssociateAppend(ctx context.Context, posts []Post, out []Associ
 
 // Match looks a single perceptual hash up against the annotated clusters.
 // The boolean is false when no annotated medoid lies within the association
-// threshold. Goroutine-safe; index strategies with internal query fan-out
-// honour cancellation mid-query.
+// threshold. Goroutine-safe. ctx is checked once, before the probe: a
+// cancelled ctx fails the lookup, and a probe that has started completes.
 func (e *Engine) Match(ctx context.Context, h Hash) (Match, bool, error) {
 	return e.build.MatchCtx(ctx, h)
 }
 
-// MatchImage hashes an image (Step 1) and looks it up with Match.
+// MatchImage hashes an image (Step 1) and looks it up with Match. memeserve's
+// /v1/match/image does the same two steps itself; its test uses MatchImage
+// as the oracle.
 func (e *Engine) MatchImage(ctx context.Context, img image.Image) (Match, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return Match{}, false, err

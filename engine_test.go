@@ -36,7 +36,7 @@ func engineTestCorpus(t *testing.T) (*Dataset, *AnnotationSite) {
 // Stats (which is documented as the only field that varies between runs).
 func TestEngineResultMatchesRun(t *testing.T) {
 	ds, site := engineTestCorpus(t)
-	legacy, err := pipeline.Run(ds, site, DefaultPipelineConfig())
+	legacy, err := pipeline.Run(ds, site, pipeline.DefaultConfig())
 	if err != nil {
 		t.Fatalf("pipeline.Run: %v", err)
 	}
@@ -159,7 +159,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sequential Associate: %v", err)
 	}
-	legacy, err := pipeline.Run(ds, site, DefaultPipelineConfig())
+	legacy, err := pipeline.Run(ds, site, pipeline.DefaultConfig())
 	if err != nil {
 		t.Fatalf("pipeline.Run: %v", err)
 	}
@@ -291,25 +291,14 @@ func TestEngineOptions(t *testing.T) {
 	ctx := context.Background()
 
 	eng, err := NewEngine(ctx, ds, site,
-		WithWorkers(2), WithEps(6), WithMinPts(4),
+		WithWorkers(2), WithEps(6),
 		WithAnnotationThreshold(7), WithAssociationThreshold(6))
 	if err != nil {
 		t.Fatalf("NewEngine with options: %v", err)
 	}
 	cfg := eng.Result().Config
-	if cfg.Workers != 2 || cfg.Clustering.Eps != 6 || cfg.Clustering.MinPts != 4 ||
-		cfg.AnnotationThreshold != 7 || cfg.AssociationThreshold != 6 {
+	if cfg.Workers != 2 || cfg.Clustering.Eps != 6 || cfg.AnnotationThreshold != 7 || cfg.AssociationThreshold != 6 {
 		t.Fatalf("options not applied: %+v", cfg)
-	}
-
-	// WithConfig replaces the whole configuration; an equivalent explicit
-	// config and the option-built engine must agree exactly.
-	eng2, err := NewEngine(ctx, ds, site, WithConfig(cfg))
-	if err != nil {
-		t.Fatalf("NewEngine(WithConfig): %v", err)
-	}
-	if !reflect.DeepEqual(eng2.Result().Associations, eng.Result().Associations) {
-		t.Fatal("WithConfig engine diverges from option-built engine")
 	}
 
 	for _, bad := range [][]Option{

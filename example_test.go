@@ -180,11 +180,8 @@ func ExampleNewMetric() {
 	}
 	fmt.Println("  sample leaves:", dend.Leaves[:min(6, len(dend.Leaves))])
 
-	// Figure 7: the cluster graph at the default distance threshold, laid
-	// out as the figure draws it.
-	cfg := analysis.DefaultClusterGraphConfig()
-	cfg.Layout = true
-	g, err := analysis.BuildClusterGraph(res, metric, cfg)
+	// Figure 7: the cluster graph at the default distance threshold.
+	g, err := analysis.BuildClusterGraph(res, metric, analysis.DefaultClusterGraphConfig())
 	if err != nil {
 		log.Fatalf("building graph: %v", err)
 	}

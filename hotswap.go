@@ -2,7 +2,6 @@ package memes
 
 import (
 	"context"
-	"image"
 	"sync/atomic"
 	"time"
 
@@ -99,18 +98,7 @@ func (h *HotEngine) Swap(eng *Engine) (old *Engine) {
 // have returned the same engine.
 func (h *HotEngine) Generation() uint64 { return h.p.Load().gen }
 
-// Associate pins the current engine for the whole batch and runs
-// Engine.Associate on it.
-func (h *HotEngine) Associate(ctx context.Context, posts []Post) ([]Association, error) {
-	return h.Engine().Associate(ctx, posts)
-}
-
 // Match pins the current engine and runs Engine.Match on it.
 func (h *HotEngine) Match(ctx context.Context, hash Hash) (Match, bool, error) {
 	return h.Engine().Match(ctx, hash)
-}
-
-// MatchImage pins the current engine and runs Engine.MatchImage on it.
-func (h *HotEngine) MatchImage(ctx context.Context, img image.Image) (Match, bool, error) {
-	return h.Engine().MatchImage(ctx, img)
 }

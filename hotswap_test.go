@@ -101,7 +101,7 @@ func TestHotEngineConcurrentSwaps(t *testing.T) {
 					t.Errorf("torn pin: generation %d paired with the wrong engine", gen)
 					return
 				}
-				got, err := hot.Associate(ctx, ds.Posts)
+				got, err := eng.Associate(ctx, ds.Posts)
 				if err != nil {
 					errs <- err
 					return

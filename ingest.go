@@ -19,12 +19,6 @@ import (
 // compacted base snapshot in the background. See NewIngestor.
 type Ingestor = ingest.Ingestor
 
-// IngestReceipt acknowledges one accepted ingest batch.
-type IngestReceipt = ingest.Receipt
-
-// IngestStats is a point-in-time snapshot of an Ingestor's counters.
-type IngestStats = ingest.Stats
-
 // ErrIngestPoolFull rejects an ingest batch that would overflow the pending
 // pool — the backpressure signal that re-clustering is not keeping up.
 var ErrIngestPoolFull = ingest.ErrPoolFull

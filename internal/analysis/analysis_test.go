@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -155,19 +156,22 @@ func TestEventCounts(t *testing.T) {
 
 func TestClusterSweep(t *testing.T) {
 	res := getRun(t)
-	rows, err := ClusterSweep(res.Dataset, []int{2, 8})
+	sw, err := newPolSweep(res.Dataset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("expected 2 sweep rows, got %d", len(rows))
+	rows := sw.images.sweepRows(table8Eps, sw.results)
+	if len(rows) != len(table8Eps) {
+		t.Fatalf("expected %d sweep rows, got %d", len(table8Eps), len(rows))
 	}
 	// Smaller eps yields at least as much noise (Table 8's trend).
-	if rows[0].NoisePercent < rows[1].NoisePercent {
-		t.Errorf("noise at eps=2 (%v) should be >= noise at eps=8 (%v)",
-			rows[0].NoisePercent, rows[1].NoisePercent)
+	for i := 1; i < len(rows); i++ {
+		if rows[i-1].NoisePercent < rows[i].NoisePercent {
+			t.Errorf("noise at eps=%d (%v) should be >= noise at eps=%d (%v)",
+				rows[i-1].Eps, rows[i-1].NoisePercent, rows[i].Eps, rows[i].NoisePercent)
+		}
 	}
-	if _, err := ClusterSweep(res.Dataset, nil); err == nil {
+	if _, err := sw.images.sweep(nil); err == nil {
 		t.Fatal("empty sweep should fail")
 	}
 }
@@ -249,7 +253,7 @@ func TestComputeAnnotationCDFs(t *testing.T) {
 
 func TestMemeFamilyDendrogram(t *testing.T) {
 	res := getRun(t)
-	metric, _ := distance.New()
+	metric := distance.New()
 	dend, err := MemeFamilyDendrogram(res, metric, []string{"frog", "pepe", "apu"})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +279,7 @@ func TestMemeFamilyDendrogram(t *testing.T) {
 
 func TestBuildClusterGraph(t *testing.T) {
 	res := getRun(t)
-	metric, _ := distance.New()
+	metric := distance.New()
 	g, err := BuildClusterGraph(res, metric, DefaultClusterGraphConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +351,11 @@ func TestComputeScoreCDFs(t *testing.T) {
 
 func TestClusterFalsePositives(t *testing.T) {
 	res := getRun(t)
-	rows, err := ClusterFalsePositives(res.Dataset, []int{6, 8, 10})
+	sw, err := newPolSweep(res.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := sw.images.falsePositiveRows(figure17Eps, sw.results[len(table8Eps)-len(figure17Eps):])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +371,6 @@ func TestClusterFalsePositives(t *testing.T) {
 	// fraction at eps=10 should be at least that at eps=6 (Figure 17's trend).
 	if rows[2].MeanFraction+1e-9 < rows[0].MeanFraction {
 		t.Errorf("FP fraction should not decrease with eps: %v", rows)
-	}
-	if _, err := ClusterFalsePositives(res.Dataset, nil); err == nil {
-		t.Fatal("empty sweep should fail")
 	}
 }
 
@@ -416,7 +421,7 @@ func TestCompareGroups(t *testing.T) {
 	res := getRun(t)
 	cfg := DefaultInfluenceConfig()
 	cfg.MaxIter = 30
-	cmp, err := CompareGroups(res, PoliticalMemes, NonPoliticalMemes, cfg)
+	cmp, err := compareGroups(context.Background(), res, PoliticalMemes, NonPoliticalMemes, cfg, newFitCache())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -471,21 +471,6 @@ type FalsePositiveRow struct {
 	MeanFraction float64
 }
 
-// ClusterFalsePositives computes Figure 17: for each eps, cluster the /pol/
-// images and measure, per cluster, the fraction of images whose planted
-// ground-truth meme differs from the cluster's dominant meme.
-func ClusterFalsePositives(ds *dataset.Dataset, epsValues []int) ([]FalsePositiveRow, error) {
-	t, err := distinctPolImages(ds)
-	if err != nil {
-		return nil, err
-	}
-	results, err := t.sweep(epsValues)
-	if err != nil {
-		return nil, err
-	}
-	return t.falsePositiveRows(epsValues, results)
-}
-
 // falsePositiveRows renders one Figure 17 row per clustering of the table,
 // in ascending eps order.
 func (t *polImages) falsePositiveRows(epsValues []int, results []cluster.Result) ([]FalsePositiveRow, error) {

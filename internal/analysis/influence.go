@@ -421,18 +421,6 @@ type GroupComparison struct {
 	Significant [][]bool
 }
 
-// CompareGroups computes the racist-vs-non-racist (Figures 13 and 15) or
-// political-vs-non-political (Figures 14 and 16) comparison.
-func CompareGroups(res *pipeline.Result, group, complement MemeGroup, cfg InfluenceConfig) (*GroupComparison, error) {
-	return CompareGroupsCtx(context.Background(), res, group, complement, cfg)
-}
-
-// CompareGroupsCtx is CompareGroups with cooperative cancellation threaded
-// through both group fits.
-func CompareGroupsCtx(ctx context.Context, res *pipeline.Result, group, complement MemeGroup, cfg InfluenceConfig) (*GroupComparison, error) {
-	return compareGroups(ctx, res, group, complement, cfg, newFitCache())
-}
-
 func compareGroups(ctx context.Context, res *pipeline.Result, group, complement MemeGroup, cfg InfluenceConfig, cache *fitCache) (*GroupComparison, error) {
 	g, gSamples, err := fitGroupCtx(ctx, res, group, cfg, cache, true)
 	if err != nil {

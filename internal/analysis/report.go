@@ -34,11 +34,7 @@ type Report struct {
 
 // NewReport builds a report generator over a pipeline result.
 func NewReport(res *pipeline.Result) (*Report, error) {
-	metric, err := distance.New()
-	if err != nil {
-		return nil, err
-	}
-	r := &Report{res: res, metric: metric, infCfg: DefaultInfluenceConfig(), fits: newFitCache()}
+	r := &Report{res: res, metric: distance.New(), infCfg: DefaultInfluenceConfig(), fits: newFitCache()}
 	r.sweep = sync.OnceValues(func() (*polSweep, error) { return newPolSweep(res.Dataset) })
 	return r, nil
 }

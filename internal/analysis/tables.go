@@ -349,20 +349,6 @@ func (t *polImages) sweep(epsValues []int) ([]cluster.Result, error) {
 	return results, nil
 }
 
-// ClusterSweep computes Table 8: the number of clusters and the noise
-// percentage of /pol/'s images for a range of DBSCAN thresholds.
-func ClusterSweep(ds *dataset.Dataset, epsValues []int) ([]SweepRow, error) {
-	t, err := distinctPolImages(ds)
-	if err != nil {
-		return nil, err
-	}
-	results, err := t.sweep(epsValues)
-	if err != nil {
-		return nil, err
-	}
-	return t.sweepRows(epsValues, results), nil
-}
-
 // sweepRows renders one Table 8 row per clustering of the table.
 func (t *polImages) sweepRows(epsValues []int, results []cluster.Result) []SweepRow {
 	out := make([]SweepRow, len(results))

@@ -26,12 +26,6 @@ const (
 	CategorySite       Category = "sites"
 )
 
-// Categories lists all valid categories in presentation order.
-func Categories() []Category {
-	return []Category{CategoryMeme, CategorySubculture, CategoryEvent,
-		CategoryCulture, CategorySite, CategoryPeople}
-}
-
 // Valid reports whether c is one of the known categories.
 func (c Category) Valid() bool {
 	switch c {
@@ -219,15 +213,6 @@ type Annotation struct {
 
 // Annotated reports whether at least one entry matched.
 func (a Annotation) Annotated() bool { return len(a.Matches) > 0 }
-
-// EntryNames returns the names of all matched entries.
-func (a Annotation) EntryNames() []string {
-	out := make([]string, len(a.Matches))
-	for i, m := range a.Matches {
-		out[i] = m.Entry.Name
-	}
-	return out
-}
 
 // NamesByCategory returns the names of matched entries of the given category.
 func (a Annotation) NamesByCategory(c Category) []string {

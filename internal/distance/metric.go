@@ -6,8 +6,6 @@
 package distance
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"github.com/memes-pipeline/memes/internal/phash"
@@ -19,7 +17,7 @@ import (
 // afterwards.
 const DefaultTau = 25.0
 
-// Weights holds the relevance of each feature in Eq. 1. The weights must be
+// Weights holds the relevance of each feature in Eq. 1. The weights are
 // non-negative and sum to 1.
 type Weights struct {
 	Perceptual float64
@@ -40,20 +38,6 @@ func PartialModeWeights() Weights {
 	return Weights{Perceptual: 1}
 }
 
-// Validate checks that the weights are non-negative and sum to 1.
-func (w Weights) Validate() error {
-	for _, v := range []float64{w.Perceptual, w.Meme, w.People, w.Culture} {
-		if v < 0 || math.IsNaN(v) {
-			return fmt.Errorf("distance: negative or NaN weight %v", v)
-		}
-	}
-	sum := w.Perceptual + w.Meme + w.People + w.Culture
-	if math.Abs(sum-1) > 1e-9 {
-		return fmt.Errorf("distance: weights sum to %v, want 1", sum)
-	}
-	return nil
-}
-
 // ClusterFeatures is the per-cluster feature set consumed by the metric:
 // the cluster medoid's perceptual hash and the names of the KYM entries of
 // each category matched during annotation (Step 5). Annotated reports
@@ -67,55 +51,13 @@ type ClusterFeatures struct {
 	Annotated  bool
 }
 
-// Metric computes inter-cluster distances. The zero value is not usable;
-// construct it with New.
-type Metric struct {
-	tau     float64
-	full    Weights
-	partial Weights
-}
+// Metric computes inter-cluster distances with the paper's constants:
+// smoother DefaultTau, FullModeWeights when both clusters are annotated and
+// PartialModeWeights otherwise.
+type Metric struct{}
 
-// Option configures a Metric.
-type Option func(*Metric)
-
-// WithTau overrides the smoother of the perceptual decay function.
-func WithTau(tau float64) Option {
-	return func(m *Metric) { m.tau = tau }
-}
-
-// WithFullModeWeights overrides the weights used when both clusters are
-// annotated.
-func WithFullModeWeights(w Weights) Option {
-	return func(m *Metric) { m.full = w }
-}
-
-// WithPartialModeWeights overrides the weights used when annotations are
-// missing.
-func WithPartialModeWeights(w Weights) Option {
-	return func(m *Metric) { m.partial = w }
-}
-
-// New returns a Metric with the paper's defaults (tau=25, full-mode weights
-// 0.4/0.4/0.1/0.1, partial mode perceptual-only), modified by opts.
-func New(opts ...Option) (*Metric, error) {
-	m := &Metric{tau: DefaultTau, full: FullModeWeights(), partial: PartialModeWeights()}
-	for _, opt := range opts {
-		opt(m)
-	}
-	if m.tau <= 0 {
-		return nil, errors.New("distance: tau must be positive")
-	}
-	if err := m.full.Validate(); err != nil {
-		return nil, fmt.Errorf("full-mode weights: %w", err)
-	}
-	if err := m.partial.Validate(); err != nil {
-		return nil, fmt.Errorf("partial-mode weights: %w", err)
-	}
-	return m, nil
-}
-
-// Tau returns the configured smoother.
-func (m *Metric) Tau() float64 { return m.tau }
+// New returns the paper's metric.
+func New() *Metric { return &Metric{} }
 
 // PerceptualSimilarity implements Eq. 2: an exponential decay over the
 // Hamming score d with smoother tau, normalised so that d=0 gives 1 and
@@ -141,22 +83,17 @@ func PerceptualSimilarity(d int, tau float64) float64 {
 	return num / den
 }
 
-// PerceptualSimilarity evaluates Eq. 2 with the metric's configured tau.
-func (m *Metric) PerceptualSimilarity(d int) float64 {
-	return PerceptualSimilarity(d, m.tau)
-}
-
 // Distance implements Eq. 1: 1 - sum_f w_f * r_f(ci, cj). The result is in
 // [0, 1]: 0 means the clusters are (by the metric) the same meme variant,
 // 1 means they share nothing. Full-mode weights are used when both clusters
 // are annotated, partial-mode weights otherwise.
 func (m *Metric) Distance(a, b ClusterFeatures) float64 {
 	d := phash.Distance(a.MedoidHash, b.MedoidHash)
-	rp := m.PerceptualSimilarity(d)
+	rp := PerceptualSimilarity(d, DefaultTau)
 
-	w := m.partial
+	w := PartialModeWeights()
 	if a.Annotated && b.Annotated {
-		w = m.full
+		w = FullModeWeights()
 	}
 	sim := w.Perceptual * rp
 	if w.Meme > 0 {
@@ -176,14 +113,6 @@ func (m *Metric) Distance(a, b ClusterFeatures) float64 {
 		return 1
 	}
 	return dist
-}
-
-// Mode reports which mode would be used to compare the two clusters.
-func (m *Metric) Mode(a, b ClusterFeatures) string {
-	if a.Annotated && b.Annotated {
-		return "full"
-	}
-	return "partial"
 }
 
 // Matrix computes the full pairwise distance matrix over the given clusters.

@@ -9,49 +9,32 @@ import (
 	"github.com/memes-pipeline/memes/internal/phash"
 )
 
+// TestWeightsValidate: both weight sets of Eq. 1 are non-negative and sum
+// to 1.
 func TestWeightsValidate(t *testing.T) {
-	if err := FullModeWeights().Validate(); err != nil {
-		t.Fatalf("full-mode weights invalid: %v", err)
-	}
-	if err := PartialModeWeights().Validate(); err != nil {
-		t.Fatalf("partial-mode weights invalid: %v", err)
-	}
-	bad := []Weights{
-		{Perceptual: 0.5, Meme: 0.5, People: 0.5}, // sums to 1.5
-		{Perceptual: -0.5, Meme: 1.5},             // negative
-		{Perceptual: math.NaN(), Meme: 1},         // NaN
-		{Perceptual: 0.3, Meme: 0.3, People: 0.3}, // sums to 0.9
-	}
-	for _, w := range bad {
-		if err := w.Validate(); err == nil {
-			t.Errorf("weights %+v should be invalid", w)
+	for _, w := range []Weights{FullModeWeights(), PartialModeWeights()} {
+		for _, v := range []float64{w.Perceptual, w.Meme, w.People, w.Culture} {
+			if v < 0 {
+				t.Errorf("weights %+v hold a negative weight", w)
+			}
+		}
+		if sum := w.Perceptual + w.Meme + w.People + w.Culture; !almost(sum, 1, 1e-9) {
+			t.Errorf("weights %+v sum to %v, want 1", w, sum)
 		}
 	}
 }
 
+// TestNewOptions: New takes no options; its metric applies the paper's
+// smoother and full-mode weights. Two annotated clusters with the same
+// entries and medoids 8 bits apart differ only in the perceptual term.
 func TestNewOptions(t *testing.T) {
-	m, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Tau() != DefaultTau {
-		t.Fatalf("default tau = %v", m.Tau())
-	}
-	if _, err := New(WithTau(-1)); err == nil {
-		t.Fatal("negative tau should be rejected")
-	}
-	if _, err := New(WithFullModeWeights(Weights{Perceptual: 2})); err == nil {
-		t.Fatal("invalid full-mode weights should be rejected")
-	}
-	if _, err := New(WithPartialModeWeights(Weights{Perceptual: 0.5})); err == nil {
-		t.Fatal("invalid partial-mode weights should be rejected")
-	}
-	m2, err := New(WithTau(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Tau() != 5 {
-		t.Fatalf("tau option ignored: %v", m2.Tau())
+	a := ClusterFeatures{MedoidHash: 0x1234, Memes: []string{"pepe"}, People: []string{"x"},
+		Cultures: []string{"y"}, Annotated: true}
+	b := a
+	b.MedoidHash ^= 0xFF
+	want := 0.4 * (1 - PerceptualSimilarity(8, DefaultTau))
+	if d := New().Distance(a, b); !almost(d, want, 1e-12) {
+		t.Fatalf("distance = %v, want %v", d, want)
 	}
 }
 
@@ -112,7 +95,7 @@ func TestPerceptualSimilarityClamping(t *testing.T) {
 }
 
 func TestDistanceIdenticalAnnotatedClusters(t *testing.T) {
-	m, _ := New()
+	m := New()
 	c := ClusterFeatures{
 		MedoidHash: 0xABCDEF,
 		Memes:      []string{"pepe-the-frog"},
@@ -128,7 +111,7 @@ func TestDistanceIdenticalAnnotatedClusters(t *testing.T) {
 func TestDistanceFullModeBounds(t *testing.T) {
 	// Same meme + perceptually identical medoids but different people and
 	// culture: distance must be at most 0.2 (paper Section 2.3).
-	m, _ := New()
+	m := New()
 	a := ClusterFeatures{MedoidHash: 0x1234, Memes: []string{"smug-frog"},
 		People: []string{"donald-trump"}, Cultures: []string{"alt-right"}, Annotated: true}
 	b := ClusterFeatures{MedoidHash: 0x1234, Memes: []string{"smug-frog"},
@@ -145,15 +128,9 @@ func TestDistanceFullModeBounds(t *testing.T) {
 }
 
 func TestDistancePartialMode(t *testing.T) {
-	m, _ := New()
+	m := New()
 	annotated := ClusterFeatures{MedoidHash: 0xFFFF, Memes: []string{"x"}, Annotated: true}
 	plain := ClusterFeatures{MedoidHash: 0xFFFF}
-	if m.Mode(annotated, plain) != "partial" {
-		t.Fatal("one unannotated cluster should select partial mode")
-	}
-	if m.Mode(annotated, annotated) != "full" {
-		t.Fatal("two annotated clusters should select full mode")
-	}
 	// In partial mode with identical medoids the distance is exactly 0
 	// regardless of annotations.
 	if d := m.Distance(annotated, plain); !almost(d, 0, 1e-9) {
@@ -168,7 +145,7 @@ func TestDistancePartialMode(t *testing.T) {
 }
 
 func TestDistanceSymmetricAndBounded(t *testing.T) {
-	m, _ := New()
+	m := New()
 	rng := rand.New(rand.NewSource(3))
 	names := []string{"a", "b", "c", "d", "e"}
 	randFeatures := func() ClusterFeatures {
@@ -205,7 +182,7 @@ func TestDistanceSymmetricAndBounded(t *testing.T) {
 func TestDistanceSameImageDifferentMemes(t *testing.T) {
 	// Paper: the metric assigns small distances when two clusters use the
 	// same image for different memes (perceptual weight dominates).
-	m, _ := New()
+	m := New()
 	a := ClusterFeatures{MedoidHash: 0xCAFE, Memes: []string{"meme-a"}, Annotated: true}
 	b := ClusterFeatures{MedoidHash: 0xCAFE, Memes: []string{"meme-b"}, Annotated: true}
 	if d := m.Distance(a, b); d > 0.61 {
@@ -214,7 +191,7 @@ func TestDistanceSameImageDifferentMemes(t *testing.T) {
 }
 
 func TestMatrixProperties(t *testing.T) {
-	m, _ := New()
+	m := New()
 	rng := rand.New(rand.NewSource(11))
 	clusters := make([]ClusterFeatures, 8)
 	for i := range clusters {
@@ -249,7 +226,7 @@ func TestTauControlsDecaySpeed(t *testing.T) {
 }
 
 func TestDistanceQuickProperties(t *testing.T) {
-	m, _ := New()
+	m := New()
 	f := func(h1, h2 uint64, annotated1, annotated2 bool) bool {
 		a := ClusterFeatures{MedoidHash: phash.Hash(h1), Annotated: annotated1, Memes: []string{"m"}}
 		b := ClusterFeatures{MedoidHash: phash.Hash(h2), Annotated: annotated2, Memes: []string{"m"}}

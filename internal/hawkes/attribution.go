@@ -156,51 +156,3 @@ func (a *Attribution) NormalizedInfluenceMatrix() [][]float64 {
 	}
 	return out
 }
-
-// ExternalInfluence sums, for every source, the normalized influence on all
-// destinations other than itself — the paper's "Total Ext" column in
-// Figures 12, 15 and 16.
-func (a *Attribution) ExternalInfluence() []float64 {
-	norm := a.NormalizedInfluenceMatrix()
-	out := make([]float64, a.K)
-	for src := 0; src < a.K; src++ {
-		for dst := 0; dst < a.K; dst++ {
-			if dst != src {
-				out[src] += norm[src][dst]
-			}
-		}
-	}
-	return out
-}
-
-// TotalInfluence sums the normalized influence of every source over all
-// destinations including itself — the paper's "Total" column.
-func (a *Attribution) TotalInfluence() []float64 {
-	norm := a.NormalizedInfluenceMatrix()
-	out := make([]float64, a.K)
-	for src := 0; src < a.K; src++ {
-		for dst := 0; dst < a.K; dst++ {
-			out[src] += norm[src][dst]
-		}
-	}
-	return out
-}
-
-// RootCauseShare returns, for each process, the total probability mass of
-// events attributed to it as root cause, divided by the total number of
-// events. The shares sum to 1.
-func (a *Attribution) RootCauseShare() []float64 {
-	out := make([]float64, a.K)
-	if len(a.Events) == 0 {
-		return out
-	}
-	for j := range a.Events {
-		for c := 0; c < a.K; c++ {
-			out[c] += a.RootCause[j][c]
-		}
-	}
-	for c := range out {
-		out[c] /= float64(len(a.Events))
-	}
-	return out
-}

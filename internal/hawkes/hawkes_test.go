@@ -442,23 +442,17 @@ func TestNormalizedInfluenceAndTotals(t *testing.T) {
 			}
 		}
 	}
-	ext := att.ExternalInfluence()
-	tot := att.TotalInfluence()
+	// Totals: every event's root-cause distribution sums to 1, so the
+	// normalized matrix weighted by the source counts accounts for every
+	// event exactly once.
+	total := 0.0
 	for s := 0; s < 2; s++ {
-		if ext[s] < 0 || tot[s] < ext[s] {
-			t.Fatalf("total/external influence inconsistent for %d: %v vs %v", s, tot[s], ext[s])
-		}
-		if math.Abs(tot[s]-(ext[s]+norm[s][s])) > 1e-9 {
-			t.Fatalf("total != external + self for %d", s)
+		for d := 0; d < 2; d++ {
+			total += norm[s][d] * float64(counts[s])
 		}
 	}
-	share := att.RootCauseShare()
-	sum := 0.0
-	for _, v := range share {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		t.Fatalf("root cause shares sum to %v", sum)
+	if n := float64(len(res.Events)); math.Abs(total-n) > 1e-6*n {
+		t.Fatalf("normalized influence accounts for %v events, want %v", total, n)
 	}
 }
 
@@ -510,10 +504,11 @@ func TestAttributeEmptyFit(t *testing.T) {
 	if len(att.RootCause) != 0 {
 		t.Fatal("empty fit should give empty attribution")
 	}
-	share := att.RootCauseShare()
-	for _, v := range share {
-		if v != 0 {
-			t.Fatal("empty attribution share should be zero")
+	for _, row := range att.NormalizedInfluenceMatrix() {
+		for _, v := range row {
+			if v != 0 {
+				t.Fatal("empty attribution should have zero influence")
+			}
 		}
 	}
 }

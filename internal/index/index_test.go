@@ -390,8 +390,8 @@ func TestShardedShardCount(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, defaultShards}, {-3, defaultShards}, {1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		if got := NewShardedBK(tc.in).NumShards(); got != tc.want {
-			t.Errorf("NewShardedBK(%d).NumShards() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewShardedBK(tc.in).shards); got != tc.want {
+			t.Errorf("NewShardedBK(%d) has %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 	// A single-shard index must still be exact.

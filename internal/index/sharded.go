@@ -66,9 +66,6 @@ func (s *ShardedBK) shardOf(h phash.Hash) int {
 	return int((uint64(h) * 0x9E3779B97F4A7C15) >> s.shift)
 }
 
-// NumShards returns the shard count (a power of two).
-func (s *ShardedBK) NumShards() int { return len(s.shards) }
-
 // SetWorkers bounds the per-query fan-out (0 = GOMAXPROCS), implementing
 // WorkerBound so the pipeline's Config.Workers governs this index like
 // every other stage. With workers == 1 queries run fully sequentially — no

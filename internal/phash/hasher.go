@@ -8,8 +8,8 @@ import (
 // hasher holds every piece of per-image scratch the DCT hash needs: the two
 // axes' tap tables, the luminance of the tapped rows x tapped columns, the
 // downsampled 32x32 image, and the row-pass and block buffers of the pruned
-// DCT. All of it is fixed-size, whatever the images hashed. FromImage /
-// FromGray borrow a hasher from a sync.Pool, so the steady-state hash path
+// DCT. All of it is fixed-size, whatever the images hashed. FromImage
+// borrows a hasher from a sync.Pool, so the steady-state hash path
 // performs zero heap allocations regardless of how many goroutines hash
 // concurrently.
 type hasher struct {

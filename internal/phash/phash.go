@@ -65,31 +65,6 @@ func FromImage(img image.Image) (Hash, error) {
 	return hs.hashImage(img, w, h), nil
 }
 
-// FromGray computes the perceptual hash of a grayscale matrix given in
-// row-major order with the provided dimensions. It is the low-level entry
-// point used by synthetic workload generators that never materialise an
-// image.Image; like FromImage it is allocation-free in steady state, with
-// error construction on the invalid-input path pushed into an unannotated
-// helper.
-//
-//memes:noalloc
-func FromGray(pix []float64, w, h int) (Hash, error) {
-	if w <= 0 || h <= 0 || len(pix) != w*h {
-		return 0, errInvalidGray(w, h, len(pix))
-	}
-	hs := hasherPool.Get().(*hasher)
-	defer hasherPool.Put(hs)
-	hs.xs.init(w, lowResSize, false)
-	hs.ys.init(h, lowResSize, false)
-	return hs.hash(pix, w), nil
-}
-
-// errInvalidGray builds FromGray's invalid-input error; a separate function
-// so the fmt allocation stays off the annotated hash path.
-func errInvalidGray(w, h, n int) error {
-	return fmt.Errorf("phash: invalid gray matrix %dx%d with %d pixels", w, h, n)
-}
-
 // Distance returns the Hamming distance between two hashes, i.e. the number
 // of bit positions at which they differ. The result is in [0, 64].
 func Distance(a, b Hash) int {

@@ -293,7 +293,7 @@ func TestFromGrayMatchesFromImage(t *testing.T) {
 			pix[y*w+x] = 0.299*float64(c.R) + 0.587*float64(c.G) + 0.114*float64(c.B)
 		}
 	}
-	hGray, err := FromGray(pix, w, h)
+	hGray, err := fromGray(pix, w, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,10 +303,10 @@ func TestFromGrayMatchesFromImage(t *testing.T) {
 }
 
 func TestFromGrayInvalid(t *testing.T) {
-	if _, err := FromGray(nil, 0, 0); err == nil {
+	if _, err := fromGray(nil, 0, 0); err == nil {
 		t.Error("expected error for empty matrix")
 	}
-	if _, err := FromGray(make([]float64, 10), 3, 4); err == nil {
+	if _, err := fromGray(make([]float64, 10), 3, 4); err == nil {
 		t.Error("expected error for mismatched dimensions")
 	}
 }

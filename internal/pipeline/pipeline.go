@@ -294,12 +294,6 @@ func clusterCommunity(ctx context.Context, ds *dataset.Dataset, comm dataset.Com
 	return communityPartial{summary: summary, hashes: hashes, counts: counts, dbres: dbres}, nil
 }
 
-// HashImages is the Step 1 helper for callers that hold raw images rather
-// than a generated dataset. It is HashImagesCtx without cancellation.
-func HashImages(images []image.Image, workers int) ([]phash.Hash, error) {
-	return HashImagesCtx(context.Background(), images, workers)
-}
-
 // HashImagesCtx is the Step 1 helper for callers that hold raw images rather
 // than a generated dataset: it hashes every image concurrently and returns
 // the hashes in input order, honouring ctx cancellation. Nil images produce

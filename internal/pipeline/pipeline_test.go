@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"image"
 	"testing"
 
@@ -268,7 +269,7 @@ func TestClusterInfoFeatures(t *testing.T) {
 
 func TestHashImages(t *testing.T) {
 	imgs := []image.Image{imaging.Template(1), imaging.Template(2), imaging.Template(3)}
-	hashes, err := HashImages(imgs, 2)
+	hashes, err := HashImagesCtx(context.Background(), imgs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +280,10 @@ func TestHashImages(t *testing.T) {
 	if hashes[1] != direct {
 		t.Fatal("parallel hashing disagrees with direct hashing")
 	}
-	if _, err := HashImages([]image.Image{nil}, 1); err == nil {
+	if _, err := HashImagesCtx(context.Background(), []image.Image{nil}, 1); err == nil {
 		t.Fatal("nil image should produce an error")
 	}
-	empty, err := HashImages(nil, 0)
+	empty, err := HashImagesCtx(context.Background(), nil, 0)
 	if err != nil || len(empty) != 0 {
 		t.Fatal("empty input should produce an empty result")
 	}

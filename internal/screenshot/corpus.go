@@ -214,19 +214,3 @@ func RunExperiment(corpusCfg CorpusConfig, trainCfg TrainConfig) (*ExperimentRes
 		TestSize:   len(test),
 	}, nil
 }
-
-// FilterGallery removes screenshots from a gallery of images: it returns the
-// indexes of images the classifier judges NOT to be screenshots. This is the
-// operation Step 4 performs on KYM image galleries before annotation.
-func FilterGallery(clf *Classifier, images []image.Image) []int {
-	var keep []int
-	for i, img := range images {
-		if img == nil {
-			continue
-		}
-		if !clf.Predict(Features(img)) {
-			keep = append(keep, i)
-		}
-	}
-	return keep
-}

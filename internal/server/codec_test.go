@@ -151,7 +151,7 @@ func TestAssociateResponseMatchesJSON(t *testing.T) {
 		}
 	}
 	// An entry name encoding/json escapes goes through json.Marshal.
-	odd := []memes.ClusterInfo{{Annotation: annotate.Annotation{Representative: &memes.KYMEntry{Name: `<pepe> & "friends" ☺`}}}}
+	odd := []memes.ClusterInfo{{Annotation: annotate.Annotation{Representative: &annotate.Entry{Name: `<pepe> & "friends" ☺`}}}}
 	want := associateResponse{Posts: 1, Matched: 1, Generation: 1, Associations: []associationJSON{{Entry: odd[0].EntryName()}}}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(want); err != nil {
@@ -250,7 +250,7 @@ func TestParseMatchAcceptsCanonical(t *testing.T) {
 func TestMatchResponseMatchesJSON(t *testing.T) {
 	e := newTestEnv(t)
 	clusters := e.eng.Clusters()
-	odd := memes.ClusterInfo{Community: dataset.Gab, Annotation: annotate.Annotation{Representative: &memes.KYMEntry{Name: `<pepe> & "friends" \ ☺ café`}}}
+	odd := memes.ClusterInfo{Community: dataset.Gab, Annotation: annotate.Annotation{Representative: &annotate.Entry{Name: `<pepe> & "friends" \ ☺ café`}}}
 	var hit *memes.ClusterInfo
 	for i := range clusters {
 		if clusters[i].Annotated() {

@@ -14,6 +14,7 @@ import (
 
 	"github.com/memes-pipeline/memes"
 	"github.com/memes-pipeline/memes/internal/dataset"
+	"github.com/memes-pipeline/memes/internal/ingest"
 	"github.com/memes-pipeline/memes/internal/phash"
 )
 
@@ -231,7 +232,7 @@ func TestIngestReceiptAndStats(t *testing.T) {
 	if code, _ := e.do(t, http.MethodGet, "/v1/statsz", nil, &stats); code != http.StatusOK {
 		t.Fatalf("statsz status = %d", code)
 	}
-	want := IngestStats{Enabled: true, Stats: memes.IngestStats{Ingested: 3, Assigned: 1, Pending: 2, Pool: 3, Seq: 3}}
+	want := IngestStats{Enabled: true, Stats: ingest.Stats{Ingested: 3, Assigned: 1, Pending: 2, Pool: 3, Seq: 3}}
 	if stats.Ingest != want {
 		t.Errorf("statsz ingest = %+v, want %+v", stats.Ingest, want)
 	}

@@ -18,6 +18,8 @@ import (
 
 	"github.com/memes-pipeline/memes"
 	"github.com/memes-pipeline/memes/internal/imaging"
+	"github.com/memes-pipeline/memes/internal/phash"
+	"github.com/memes-pipeline/memes/internal/pipeline"
 )
 
 // testEnv is one served snapshot: the reference engine the snapshot was
@@ -118,13 +120,13 @@ func (e *testEnv) do(t *testing.T, method, path string, body []byte, out any) (i
 // threshold of, so /v1/match on it must miss.
 func farHash(t *testing.T, eng *memes.Engine) memes.Hash {
 	t.Helper()
-	theta := memes.DefaultPipelineConfig().AssociationThreshold
+	theta := pipeline.DefaultConfig().AssociationThreshold
 	clusters := eng.Clusters()
 	for v := uint64(0); v < 1<<20; v++ {
 		h := memes.Hash(v)
 		far := true
 		for i := range clusters {
-			if clusters[i].Annotated() && memes.HashDistance(h, clusters[i].MedoidHash) <= theta {
+			if clusters[i].Annotated() && phash.Distance(h, clusters[i].MedoidHash) <= theta {
 				far = false
 				break
 			}

@@ -171,19 +171,10 @@ type KSResult struct {
 	Significant bool
 }
 
-// KSTest performs a two-sample Kolmogorov-Smirnov test comparing samples a
-// and b, using the asymptotic Kolmogorov distribution for the p-value. It
-// sorts copies and leaves a and b as they are.
-func KSTest(a, b []float64) (KSResult, error) {
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	return KSTestSorted(as, bs)
-}
-
-// KSTestSorted is KSTest over samples already sorted in ascending order,
-// for callers that own their samples and can sort them in place.
+// KSTestSorted performs a two-sample Kolmogorov-Smirnov test comparing
+// samples as and bs, both sorted in ascending order, using the asymptotic
+// Kolmogorov distribution for the p-value. Callers that own their samples
+// sort them in place.
 func KSTestSorted(as, bs []float64) (KSResult, error) {
 	if len(as) == 0 || len(bs) == 0 {
 		return KSResult{}, ErrEmpty

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -124,9 +123,18 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
+// ksTest runs KSTestSorted on sorted copies of a and b.
+func ksTest(a, b []float64) (KSResult, error) {
+	as := append([]float64(nil), a...)
+	bs := append([]float64(nil), b...)
+	sort.Float64s(as)
+	sort.Float64s(bs)
+	return KSTestSorted(as, bs)
+}
+
 func TestKSTestIdenticalSamples(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	res, err := KSTest(xs, xs)
+	res, err := ksTest(xs, xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +154,7 @@ func TestKSTestDifferentDistributions(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64() + 3 // strongly shifted
 	}
-	res, err := KSTest(a, b)
+	res, err := ksTest(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,34 +166,42 @@ func TestKSTestDifferentDistributions(t *testing.T) {
 	}
 }
 
-// TestKSTestSortedKernel: KSTest leaves its inputs unsorted and answers what
-// the sorted-input kernel answers on sorted copies.
+// TestKSTestSortedKernel: the merge-walk kernel's statistic is the largest
+// gap between the two empirical CDFs over every sample point, ties
+// included, and does not depend on the order of its arguments.
 func TestKSTestSortedKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := make([]float64, 200)
 	b := make([]float64, 150)
 	for i := range a {
-		a[i] = rng.NormFloat64()
+		a[i] = math.Round(rng.NormFloat64()*10) / 10
 	}
 	for i := range b {
-		b[i] = rng.NormFloat64() + 0.3
-	}
-	a0, b0 := append([]float64(nil), a...), append([]float64(nil), b...)
-	got, err := KSTest(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
-		t.Fatal("KSTest modified its inputs")
+		b[i] = math.Round((rng.NormFloat64()+0.3)*10) / 10
 	}
 	sort.Float64s(a)
 	sort.Float64s(b)
-	want, err := KSTestSorted(a, b)
+	got, err := KSTestSorted(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("KSTest = %+v, KSTestSorted on sorted copies = %+v", got, want)
+	ca, err := NewCDF(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := NewCDF(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for _, x := range append(append([]float64(nil), a...), b...) {
+		want = math.Max(want, math.Abs(ca.At(x)-cb.At(x)))
+	}
+	if math.Abs(got.Statistic-want) > 1e-12 {
+		t.Fatalf("KS statistic = %v, largest CDF gap = %v", got.Statistic, want)
+	}
+	if rev, err := KSTestSorted(b, a); err != nil || rev != got {
+		t.Fatalf("KSTestSorted(b, a) = %+v, %v; want %+v", rev, err, got)
 	}
 	if _, err := KSTestSorted(nil, b); err != ErrEmpty {
 		t.Fatalf("empty sample: err = %v, want ErrEmpty", err)
@@ -200,7 +216,7 @@ func TestKSTestSameDistribution(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	res, err := KSTest(a, b)
+	res, err := ksTest(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +226,10 @@ func TestKSTestSameDistribution(t *testing.T) {
 }
 
 func TestKSTestEmpty(t *testing.T) {
-	if _, err := KSTest(nil, []float64{1}); err == nil {
+	if _, err := ksTest(nil, []float64{1}); err == nil {
 		t.Fatal("expected error for empty sample")
 	}
-	if _, err := KSTest([]float64{1}, nil); err == nil {
+	if _, err := ksTest([]float64{1}, nil); err == nil {
 		t.Fatal("expected error for empty sample")
 	}
 }

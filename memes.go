@@ -9,20 +9,23 @@
 //
 //   - GenerateDataset / LoadDataset build or load a synthetic multi-community
 //     corpus with a Know Your Meme-style annotation site (the stand-in for
-//     the paper's 160M crawled images — see DESIGN.md for the substitution
-//     rationale).
+//     the paper's 160M crawled images: planted memes with ground-truth KYM
+//     entries and Hawkes-driven cross-community cascades).
 //   - NewEngine runs the build phase once (pHash clustering of the fringe
 //     communities, screenshot filtering, KYM annotation) and keeps the
 //     annotated-cluster index resident; Engine.Associate, Engine.Match, and
 //     Engine.MatchImage then serve goroutine-safe, context-cancellable
 //     queries against it, and Engine.Result materialises the full legacy
-//     result.
+//     result. Engine.Save and LoadEngine split the build from the serving
+//     process; NewHotEngine and NewIngestor serve while new posts stream in.
 //   - NewReport regenerates every table and figure of the paper's evaluation
-//     from a pipeline result.
-//   - HashImage, NewMetric, FitHawkes, and TrainScreenshotClassifier expose
-//     the individual algorithmic components for standalone use.
+//     from a pipeline result, and EstimateInfluence fits the Section 5
+//     Hawkes models for one meme group.
+//   - HashImage, NewMetric, and TrainScreenshotClassifier expose the
+//     individual algorithmic components for standalone use.
 //
-// See the examples directory for runnable end-to-end programs.
+// The package's Example functions are runnable end-to-end walkthroughs;
+// go test runs them and checks their output.
 package memes
 
 import (
@@ -32,7 +35,6 @@ import (
 	"github.com/memes-pipeline/memes/internal/annotate"
 	"github.com/memes-pipeline/memes/internal/dataset"
 	"github.com/memes-pipeline/memes/internal/distance"
-	"github.com/memes-pipeline/memes/internal/hawkes"
 	"github.com/memes-pipeline/memes/internal/index"
 	"github.com/memes-pipeline/memes/internal/phash"
 	"github.com/memes-pipeline/memes/internal/pipeline"
@@ -45,9 +47,6 @@ type Hash = phash.Hash
 // HashImage computes the perceptual hash of an image (Step 1 of the
 // pipeline).
 func HashImage(img image.Image) (Hash, error) { return phash.FromImage(img) }
-
-// HashDistance returns the Hamming distance between two perceptual hashes.
-func HashDistance(a, b Hash) int { return phash.Distance(a, b) }
 
 // Community identifies one of the five Web communities of the study.
 type Community = dataset.Community
@@ -83,9 +82,6 @@ func LoadDataset(dir string) (*Dataset, error) { return dataset.Load(dir) }
 // AnnotationSite is a Know Your Meme-style annotation site.
 type AnnotationSite = annotate.Site
 
-// KYMEntry is a single annotation-site entry.
-type KYMEntry = annotate.Entry
-
 // IndexStrategy names a medoid-index implementation for the Step 6 serve
 // path; select one with WithIndex. All strategies produce bitwise-identical
 // pipeline output — they differ only in cost profile.
@@ -109,13 +105,6 @@ const (
 // IndexStrategies lists every registered index strategy in sorted order.
 func IndexStrategies() []IndexStrategy { return index.Strategies() }
 
-// PipelineConfig holds the pipeline's tunable thresholds.
-type PipelineConfig = pipeline.Config
-
-// DefaultPipelineConfig returns the paper's thresholds (DBSCAN eps=8,
-// minPts=5, annotation/association threshold 8).
-func DefaultPipelineConfig() PipelineConfig { return pipeline.DefaultConfig() }
-
 // Result is the output of the pipeline: per-community clusterings, annotated
 // clusters, and post-to-cluster associations.
 type Result = pipeline.Result
@@ -127,18 +116,9 @@ type ClusterInfo = pipeline.ClusterInfo
 // Metric is the custom inter-cluster distance metric of Section 2.3.
 type Metric = distance.Metric
 
-// ClusterFeatures is the per-cluster feature set the metric consumes.
-type ClusterFeatures = distance.ClusterFeatures
-
 // NewMetric builds the custom distance metric with the paper's defaults
 // (tau=25, full-mode weights 0.4/0.4/0.1/0.1).
-func NewMetric() (*Metric, error) { return distance.New() }
-
-// PerceptualSimilarity evaluates the exponential-decay perceptual similarity
-// (Eq. 2) for a Hamming distance d and smoother tau.
-func PerceptualSimilarity(d int, tau float64) float64 {
-	return distance.PerceptualSimilarity(d, tau)
-}
+func NewMetric() (*Metric, error) { return distance.New(), nil }
 
 // Report regenerates the paper's tables and figures from a pipeline result.
 type Report = analysis.Report
@@ -170,24 +150,6 @@ type InfluenceResult = analysis.InfluenceResult
 // community-to-community influence matrices for the given meme group.
 func EstimateInfluence(res *Result, group MemeGroup) (*InfluenceResult, error) {
 	return analysis.EstimateInfluence(res, group, analysis.DefaultInfluenceConfig())
-}
-
-// HawkesModel is a multivariate Hawkes process with exponential kernels.
-type HawkesModel = hawkes.Model
-
-// HawkesEvent is a single event of a multivariate Hawkes process.
-type HawkesEvent = hawkes.Event
-
-// FitHawkes estimates a multivariate Hawkes model from events observed on k
-// processes over the window [0, horizon).
-func FitHawkes(events []HawkesEvent, k int, horizon float64) (*hawkes.FitResult, error) {
-	return hawkes.Fit(events, hawkes.DefaultFitConfig(k, horizon))
-}
-
-// AttributeRootCauses computes, for every event of a fitted model, the
-// probability distribution over the processes that are its root cause.
-func AttributeRootCauses(fit *hawkes.FitResult) (*hawkes.Attribution, error) {
-	return hawkes.Attribute(fit)
 }
 
 // ScreenshotClassifier is the learned filter that removes social-network

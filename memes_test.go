@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"github.com/memes-pipeline/memes/internal/distance"
 	"github.com/memes-pipeline/memes/internal/imaging"
+	"github.com/memes-pipeline/memes/internal/phash"
 )
 
 // TestPublicAPIEndToEnd exercises the public facade the way a downstream
@@ -58,43 +60,17 @@ func TestPublicHashingAndMetric(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HashImage variant: %v", err)
 	}
-	if d := HashDistance(h1, h2); d > 12 {
+	if d := phash.Distance(h1, h2); d > 12 {
 		t.Errorf("variant hash distance %d unexpectedly large", d)
 	}
 	m, err := NewMetric()
 	if err != nil {
 		t.Fatalf("NewMetric: %v", err)
 	}
-	a := ClusterFeatures{MedoidHash: h1, Memes: []string{"pepe"}, Annotated: true}
-	b := ClusterFeatures{MedoidHash: h2, Memes: []string{"pepe"}, Annotated: true}
+	a := distance.ClusterFeatures{MedoidHash: h1, Memes: []string{"pepe"}, Annotated: true}
+	b := distance.ClusterFeatures{MedoidHash: h2, Memes: []string{"pepe"}, Annotated: true}
 	if d := m.Distance(a, b); d > 0.3 {
 		t.Errorf("same-meme near-identical clusters have distance %v", d)
-	}
-	if s := PerceptualSimilarity(0, 25); s != 1 {
-		t.Errorf("PerceptualSimilarity(0) = %v", s)
-	}
-}
-
-func TestPublicHawkes(t *testing.T) {
-	// A tiny hand-built event sequence: process 0 events regularly, process 1
-	// follows shortly after each.
-	var events []HawkesEvent
-	for i := 0; i < 40; i++ {
-		t0 := float64(i) * 5
-		events = append(events, HawkesEvent{Time: t0, Process: 0})
-		events = append(events, HawkesEvent{Time: t0 + 0.3, Process: 1})
-	}
-	fit, err := FitHawkes(events, 2, 210)
-	if err != nil {
-		t.Fatalf("FitHawkes: %v", err)
-	}
-	att, err := AttributeRootCauses(fit)
-	if err != nil {
-		t.Fatalf("AttributeRootCauses: %v", err)
-	}
-	raw := att.InfluenceMatrix()
-	if raw[0][1] <= raw[1][0] {
-		t.Errorf("expected process 0 to influence process 1: %v", raw)
 	}
 }
 
