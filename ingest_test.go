@@ -21,9 +21,7 @@ func carveLibCorpus(t *testing.T, live int) (*Dataset, *Dataset, []Post, *Annota
 		t.Fatalf("corpus too small: %d posts", len(full.Posts))
 	}
 	cut := len(full.Posts) - live
-	base := *full
-	base.Posts = full.Posts[:cut:cut]
-	return full, &base, full.Posts[cut:], site
+	return full, full.Prefix(cut), full.Posts[cut:], site
 }
 
 // engineBytes serialises an engine for bitwise comparison.
@@ -87,6 +85,48 @@ func TestLoadEngineWithDeltas(t *testing.T) {
 	}
 	if got := engineBytes(t, plain); !bytes.Equal(got, snap) {
 		t.Error("empty delta journal changed the loaded engine")
+	}
+}
+
+// TestCarvedBaseKeepsTable1: a base carved with Dataset.Prefix, plus the
+// rest of the corpus replayed as a delta journal, reports the full corpus's
+// Table 1 byte for byte. Prefix takes the carved-off posts out of
+// PostTotals, and the union adds each replayed post back once.
+func TestCarvedBaseKeepsTable1(t *testing.T) {
+	full, base, live, site := carveLibCorpus(t, 90)
+	ctx := context.Background()
+	table1 := func(eng *Engine) string {
+		t.Helper()
+		rep, err := NewReport(eng.Result())
+		if err != nil {
+			t.Fatalf("NewReport: %v", err)
+		}
+		text, err := rep.RenderTable1()
+		if err != nil {
+			t.Fatalf("RenderTable1: %v", err)
+		}
+		return text
+	}
+
+	baseEng, err := NewEngine(ctx, base, site)
+	if err != nil {
+		t.Fatalf("base NewEngine: %v", err)
+	}
+	var seg bytes.Buffer
+	if err := pipeline.SaveDelta(&seg, &pipeline.Delta{FromSeq: 0, Posts: live}); err != nil {
+		t.Fatalf("SaveDelta: %v", err)
+	}
+	loaded, err := LoadEngine(bytes.NewReader(engineBytes(t, baseEng)), site,
+		WithDataset(base), WithDeltas(&seg))
+	if err != nil {
+		t.Fatalf("LoadEngine with deltas: %v", err)
+	}
+	ref, err := NewEngine(ctx, full, site)
+	if err != nil {
+		t.Fatalf("union NewEngine: %v", err)
+	}
+	if got, want := table1(loaded), table1(ref); got != want {
+		t.Errorf("Table 1 of base + replayed posts:\n%s\nwant the full corpus's:\n%s", got, want)
 	}
 }
 

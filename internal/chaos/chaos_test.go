@@ -42,9 +42,7 @@ func fixture(t *testing.T) (full, base *memes.Dataset, live []memes.Post, site *
 	if cut <= 0 {
 		t.Fatalf("corpus too small: %d posts", len(ds.Posts))
 	}
-	b := *ds
-	b.Posts = ds.Posts[:cut:cut]
-	return ds, &b, ds.Posts[cut:], site
+	return ds, ds.Prefix(cut), ds.Posts[cut:], site
 }
 
 // saveBytes serialises an engine for bitwise comparison.
@@ -174,10 +172,8 @@ func verifyRecovery(t *testing.T, dir string, wantSeq uint64, wantBase, wantTorn
 		t.Errorf("replay repaired %d torn tails; the crash left none", st.TornTails)
 	}
 
-	union := *full
 	n := len(base.Posts) + int(st.Seq)
-	union.Posts = full.Posts[:n:n]
-	ref, err := memes.NewEngine(ctx, &union, site)
+	ref, err := memes.NewEngine(ctx, full.Prefix(n), site)
 	if err != nil {
 		t.Fatalf("reference union build: %v", err)
 	}
@@ -208,9 +204,7 @@ func verifyRecovery(t *testing.T, dir string, wantSeq uint64, wantBase, wantTorn
 		if err := g.Recluster(ctx); err != nil {
 			t.Fatalf("post-recovery Recluster: %v", err)
 		}
-		m := n + len(extra)
-		union.Posts = full.Posts[:m:m]
-		ref2, err := memes.NewEngine(ctx, &union, site)
+		ref2, err := memes.NewEngine(ctx, full.Prefix(n+len(extra)), site)
 		if err != nil {
 			t.Fatalf("post-recovery reference build: %v", err)
 		}

@@ -158,6 +158,25 @@ type Dataset struct {
 	GroundTruthInfluence [][]float64
 }
 
+// Prefix returns a copy of d holding only its first n posts, with
+// PostTotals reduced by every post it drops, so that streaming the dropped
+// posts back in (pipeline.Incremental's union adds each to the totals)
+// gives d's totals again. It is how a crawl is split into a base corpus and
+// the posts that arrive after it. The copy shares d's post storage, capped
+// at n so an append never writes into d.
+func (d *Dataset) Prefix(n int) *Dataset {
+	c := *d
+	c.Posts = d.Posts[:n:n]
+	c.PostTotals = make(map[Community]int, len(d.PostTotals))
+	for comm, total := range d.PostTotals {
+		c.PostTotals[comm] = total
+	}
+	for i := range d.Posts[n:] {
+		c.PostTotals[d.Posts[n+i].Community]--
+	}
+	return &c
+}
+
 // KYMEntry is the serialisable form of an annotation-site entry.
 type KYMEntry struct {
 	Name     string   `json:"name"`

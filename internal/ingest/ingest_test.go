@@ -33,9 +33,7 @@ func carve(t *testing.T, live int) (*dataset.Dataset, *dataset.Dataset, []datase
 		t.Fatalf("Site: %v", err)
 	}
 	cut := len(ds.Posts) - live
-	base := *ds
-	base.Posts = ds.Posts[:cut:cut]
-	return ds, &base, ds.Posts[cut:], site
+	return ds, ds.Prefix(cut), ds.Posts[cut:], site
 }
 
 // harness builds the base engine, publishes it into an atomic slot, and
@@ -498,10 +496,7 @@ func TestIngestReplayRepairsTornAndEmptyTails(t *testing.T) {
 	var pcfg pipeline.Config
 	checkpoint := func(t *testing.T, cur *atomic.Pointer[pipeline.BuildResult], n int) {
 		t.Helper()
-		union := *full
-		k := len(base.Posts) + n
-		union.Posts = full.Posts[:k:k]
-		ref, err := pipeline.Build(ctx, &union, site, pcfg, nil)
+		ref, err := pipeline.Build(ctx, full.Prefix(len(base.Posts)+n), site, pcfg, nil)
 		if err != nil {
 			t.Fatalf("reference Build: %v", err)
 		}

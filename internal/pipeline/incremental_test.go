@@ -22,9 +22,7 @@ func carveCorpus(t *testing.T, live int) (*dataset.Dataset, *dataset.Dataset, []
 		t.Fatalf("corpus too small: %d posts", len(ds.Posts))
 	}
 	cut := len(ds.Posts) - live
-	base := *ds
-	base.Posts = ds.Posts[:cut:cut]
-	return ds, &base, ds.Posts[cut:]
+	return ds, ds.Prefix(cut), ds.Posts[cut:]
 }
 
 // snapshotBytes serialises a build for bitwise comparison.
