@@ -360,11 +360,11 @@ func MaterializeParallel(hashes []phash.Hash, counts []int, res Result, workers 
 	return out
 }
 
-// MaterializeParallelCtx is MaterializeParallel (workers <= 0 means GOMAXPROCS), honouring ctx
-// cancellation. Clusters are materialised concurrently and each cluster's
-// medoid search is itself parallelised for large clusters, but the returned
-// slice is ordered by label and identical for every worker count. On cancellation it returns (nil, ctx.Err()); no goroutine outlives
-// the call.
+// MaterializeParallelCtx is MaterializeParallel honouring ctx cancellation.
+// Clusters are materialised concurrently and each cluster's medoid search
+// is itself parallelised for large clusters, but the returned slice is
+// ordered by label and identical for every worker count. On cancellation it
+// returns (nil, ctx.Err()); no goroutine outlives the call.
 func MaterializeParallelCtx(ctx context.Context, hashes []phash.Hash, counts []int, res Result, workers int) ([]Cluster, error) {
 	members := res.Members()
 	// Split the worker budget between the two nesting levels so the total

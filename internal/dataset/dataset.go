@@ -171,8 +171,8 @@ func (d *Dataset) Prefix(n int) *Dataset {
 	for comm, total := range d.PostTotals {
 		c.PostTotals[comm] = total
 	}
-	for i := range d.Posts[n:] {
-		c.PostTotals[d.Posts[n+i].Community]--
+	for i := n; i < len(d.Posts); i++ {
+		c.PostTotals[d.Posts[i].Community]--
 	}
 	return &c
 }

@@ -116,8 +116,8 @@ type ClusterInfo = pipeline.ClusterInfo
 // Metric is the custom inter-cluster distance metric of Section 2.3.
 type Metric = distance.Metric
 
-// NewMetric builds the custom distance metric with the paper's defaults
-// (tau=25, full-mode weights 0.4/0.4/0.1/0.1).
+// NewMetric builds the custom distance metric with the paper's constants
+// (tau=25, full-mode weights 0.4/0.4/0.1/0.1). The error is always nil.
 func NewMetric() (*Metric, error) { return distance.New(), nil }
 
 // Report regenerates the paper's tables and figures from a pipeline result.
