@@ -1,29 +1,24 @@
 package memes
 
-// This file is the benchmark harness of the reproduction: one benchmark per
-// table and figure of the paper's evaluation (see DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured values). Each
-// benchmark regenerates the corresponding rows or series from a shared
+// This file holds one benchmark per table and figure of the paper's
+// evaluation (PAPER.md maps the paper onto the code; README gives the
+// commands that regenerate the report), plus ablations of the design
+// choices. Each regenerates the corresponding rows or series from a shared
 // pipeline run over the synthetic corpus and reports the headline quantity
-// as a benchmark metric, so `go test -bench=.` reproduces the entire
-// evaluation in one command.
+// as a benchmark metric, so `go test -bench=.` reproduces the evaluation in
+// one command. The performance rows (build, clustering, serve path,
+// snapshots, hashing, ingest) are cmd/memebench's table:
+// `go test -bench . ./cmd/memebench` runs them.
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/memes-pipeline/memes/internal/analysis"
 	"github.com/memes-pipeline/memes/internal/benchcorpus"
-	"github.com/memes-pipeline/memes/internal/cluster"
 	"github.com/memes-pipeline/memes/internal/dataset"
 	"github.com/memes-pipeline/memes/internal/distance"
-	"github.com/memes-pipeline/memes/internal/imaging"
 	"github.com/memes-pipeline/memes/internal/phash"
 	"github.com/memes-pipeline/memes/internal/pipeline"
 	"github.com/memes-pipeline/memes/internal/screenshot"
@@ -43,17 +38,10 @@ var (
 	benchErr  error
 )
 
-// benchConfig is the shared benchmark corpus; cmd/memebench generates the
-// same one (see internal/benchcorpus), so trajectory points and `go test
-// -bench` numbers are comparable by construction.
-func benchConfig() dataset.Config {
-	return benchcorpus.Config()
-}
-
 func getBench(b *testing.B) *benchState {
 	b.Helper()
 	benchOnce.Do(func() {
-		ds, err := dataset.Generate(benchConfig())
+		ds, err := dataset.Generate(benchcorpus.Config())
 		if err != nil {
 			benchErr = fmt.Errorf("generating corpus: %w", err)
 			return
@@ -91,19 +79,11 @@ func BenchmarkTable1_DatasetOverview(b *testing.B) {
 
 func BenchmarkTable2_ClusteringStats(b *testing.B) {
 	st := getBench(b)
-	cfg := pipeline.DefaultConfig()
-	site, err := st.ds.Site(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var res *pipeline.Result
+	var rows []analysis.Table2Row
 	for i := 0; i < b.N; i++ {
-		res, err = pipeline.Run(st.ds, site, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rows = analysis.ClusteringStats(st.res)
 	}
-	for _, row := range analysis.ClusteringStats(res) {
+	for _, row := range rows {
 		b.ReportMetric(float64(row.Clusters), "clusters_"+sanitize(row.Community))
 		b.ReportMetric(row.NoisePercent, "noise_pct_"+sanitize(row.Community))
 	}
@@ -345,10 +325,7 @@ func BenchmarkFigure17_ClusterFalsePositives(b *testing.B) {
 func benchRender(b *testing.B, render func(*analysis.Report) (string, error)) {
 	st := getBench(b)
 	for i := 0; i < b.N; i++ {
-		rep, err := analysis.NewReport(st.res)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rep := analysis.NewReport(st.res)
 		if _, err := render(rep); err != nil {
 			b.Fatal(err)
 		}
@@ -382,339 +359,7 @@ func BenchmarkAppendixB_AnnotationQuality(b *testing.B) {
 	}
 }
 
-// --- Performance and ablations ----------------------------------------------
-
-// BenchmarkPipelineRun measures the full Steps 2-6 engine at one worker
-// versus the machine's full worker pool; the ratio of the two is the
-// parallel speedup tracked in the perf trajectory. Both variants produce
-// bitwise-identical results (see pipeline's determinism test).
-func BenchmarkPipelineRun(b *testing.B) {
-	st := getBench(b)
-	site, err := st.ds.Site(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			cfg := pipeline.DefaultConfig()
-			cfg.Workers = workers
-			var res *pipeline.Result
-			for i := 0; i < b.N; i++ {
-				res, err = pipeline.Run(st.ds, site, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Stats.ImagesPerSec(), "images_per_sec")
-			b.ReportMetric(float64(len(res.Clusters)), "clusters")
-		})
-	}
-}
-
-// BenchmarkEngineAssociate measures the serve-path throughput in isolation:
-// the Steps 2-5 index is built once outside the timed loop, then repeated
-// post batches stream through Engine.Associate. images_per_sec here is the
-// paper's §7 headline metric (~73 images/sec on two Titan Xp GPUs for
-// Step 6), tracked separately from the build cost BenchmarkPipelineRun pays
-// on every iteration. One sub-benchmark per registered index strategy makes
-// this the serve-path shoot-out the CI perf trajectory records: every
-// strategy returns bitwise-identical associations (see the engine and
-// internal/index equivalence tests), so the deltas are pure cost.
-func BenchmarkEngineAssociate(b *testing.B) {
-	st := getBench(b)
-	site, err := st.ds.Site(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	imagePosts := 0
-	for i := range st.ds.Posts {
-		if st.ds.Posts[i].HasImage {
-			imagePosts++
-		}
-	}
-	for _, strategy := range IndexStrategies() {
-		b.Run(string(strategy), func(b *testing.B) {
-			eng, err := NewEngine(ctx, st.ds, site, WithIndex(strategy))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Associate(ctx, st.ds.Posts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(imagePosts)*float64(b.N)/secs, "images_per_sec")
-			}
-		})
-	}
-}
-
-// BenchmarkEngineMatch measures single-hash lookup latency per strategy —
-// the primitive a serving front-end pays per image — using the annotated
-// medoids themselves as queries.
-func BenchmarkEngineMatch(b *testing.B) {
-	st := getBench(b)
-	site, err := st.ds.Site(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, strategy := range IndexStrategies() {
-		b.Run(string(strategy), func(b *testing.B) {
-			eng, err := NewEngine(ctx, st.ds, site, WithIndex(strategy))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var queries []Hash
-			for _, c := range eng.Clusters() {
-				if c.Annotated() {
-					queries = append(queries, c.MedoidHash)
-				}
-			}
-			if len(queries) == 0 {
-				b.Skip("no annotated clusters")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Match(ctx, queries[i%len(queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineSnapshot measures the persistence path: Save cost, Load
-// cost, and snapshot size — the price of skipping Steps 2-5 on restart.
-func BenchmarkEngineSnapshot(b *testing.B) {
-	st := getBench(b)
-	site, err := st.ds.Site(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	eng, err := NewEngine(ctx, st.ds, site)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eng.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	snap := buf.Bytes()
-	b.Run("save", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var w bytes.Buffer
-			w.Grow(len(snap))
-			if err := eng.Save(&w); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(snap)), "snapshot_bytes")
-	})
-	b.Run("load", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := LoadEngine(bytes.NewReader(snap), site); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// steadyStrategies are the index strategies whose sealed query path is
-// allocation-free in steady state — all three built-ins: the tree
-// strategies answer RadiusScratch from pooled scratch, the multi-index
-// reduces inside NearestWithin. CI pins their steady benchmarks to 0
-// allocs/op, the same contract PhashExtraction carries.
-func steadyStrategies() []IndexStrategy {
-	return []IndexStrategy{IndexBKTree, IndexMultiIndex, IndexSharded}
-}
-
-// BenchmarkEngineAssociateSteady measures the serve path the way a resident
-// server actually runs it: AssociateAppend into a recycled caller-owned
-// buffer, after one warm-up pass has grown the buffer and filled the query
-// scratch pool. The steady state must not allocate — allocs/op is the gated
-// quantity, throughput is informational.
-func BenchmarkEngineAssociateSteady(b *testing.B) {
-	st := getBench(b)
-	site, err := st.ds.Site(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	imagePosts := 0
-	for i := range st.ds.Posts {
-		if st.ds.Posts[i].HasImage {
-			imagePosts++
-		}
-	}
-	for _, strategy := range steadyStrategies() {
-		b.Run(string(strategy), func(b *testing.B) {
-			eng, err := NewEngine(ctx, st.ds, site, WithIndex(strategy))
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm: grow the output buffer to capacity and seed the pool.
-			out, err := eng.AssociateAppend(ctx, st.ds.Posts, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err = eng.AssociateAppend(ctx, st.ds.Posts, out[:0])
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(imagePosts)*float64(b.N)/secs, "images_per_sec")
-			}
-		})
-	}
-}
-
-// BenchmarkEngineMatchSteady measures single-hash lookup in steady state:
-// the sealed flat index answers from pooled scratch, so the per-lookup
-// allocation count must be 0.
-func BenchmarkEngineMatchSteady(b *testing.B) {
-	st := getBench(b)
-	site, err := st.ds.Site(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	for _, strategy := range steadyStrategies() {
-		b.Run(string(strategy), func(b *testing.B) {
-			eng, err := NewEngine(ctx, st.ds, site, WithIndex(strategy))
-			if err != nil {
-				b.Fatal(err)
-			}
-			var queries []Hash
-			for _, c := range eng.Clusters() {
-				if c.Annotated() {
-					queries = append(queries, c.MedoidHash)
-				}
-			}
-			if len(queries) == 0 {
-				b.Skip("no annotated clusters")
-			}
-			// Warm every query once: the pooled scratch grows to the
-			// largest result set before counting, so one-time growth
-			// never shows up as allocs/op.
-			for _, q := range queries {
-				if _, _, err := eng.Match(ctx, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.Match(ctx, queries[i%len(queries)]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineSnapshotLoad measures load-to-first-query per snapshot
-// version from an on-disk file — the restart cost a serving box pays. v1
-// streams varints and rebuilds the medoid index; v2 reads the whole file
-// and decodes its fixed-width tables.
-func BenchmarkEngineSnapshotLoad(b *testing.B) {
-	st := getBench(b)
-	site, err := st.ds.Site(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	eng, err := NewEngine(ctx, st.ds, site)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var query Hash
-	found := false
-	for _, c := range eng.Clusters() {
-		if c.Annotated() {
-			query, found = c.MedoidHash, true
-			break
-		}
-	}
-	if !found {
-		b.Skip("no annotated clusters")
-	}
-	dir := b.TempDir()
-	for _, v := range []struct {
-		name    string
-		version uint32
-	}{{"v1", SnapshotV1}, {"v2", SnapshotV2}} {
-		path := filepath.Join(dir, v.name+".snap")
-		f, err := os.Create(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.SaveVersion(f, v.version); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(v.name, func(b *testing.B) {
-			// Drain garbage so the loop measures the load, not a GC over
-			// the corpus heap.
-			runtime.GC()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				loaded, err := LoadEngineFile(path, site)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := loaded.Match(ctx, query); err != nil {
-					b.Fatal(err)
-				}
-				if err := loaded.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkPerf_AssociationThroughput measures the Step 6 association rate
-// (images per second), the quantity the paper reports as ~73 images/sec on
-// two Titan Xp GPUs (§7 Performance).
-func BenchmarkPerf_AssociationThroughput(b *testing.B) {
-	st := getBench(b)
-	site, err := st.ds.Site(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := pipeline.DefaultConfig()
-	imagePosts := 0
-	for _, p := range st.ds.Posts {
-		if p.HasImage {
-			imagePosts++
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Run(st.ds, site, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(imagePosts), "images_per_op")
-}
+// --- Ablations --------------------------------------------------------------
 
 // BenchmarkAblation_IndexVsBrute compares the BK-tree/multi-index
 // neighbourhood search against a brute-force scan, the design choice that
@@ -788,60 +433,6 @@ func BenchmarkAblation_HawkesKernel(b *testing.B) {
 			}
 			b.ReportMetric(inf.TotalExternal[int(dataset.TheDonald)]*100, "ext_pct_thedonald")
 		})
-	}
-}
-
-// BenchmarkDBSCAN measures the Steps 2-3 clustering in isolation over the
-// corpus's distinct fringe hashes: the two-phase run (parallel
-// eps-neighbourhood scan + serial expansion) at one worker versus the full
-// pool. neighbour_points_per_sec is the phase-one throughput — the CPU
-// analogue of the paper's GPU pairwise engine — and the labels are
-// bitwise-identical at every worker count (see cluster's reference
-// property test and fuzz target).
-func BenchmarkDBSCAN(b *testing.B) {
-	st := getBench(b)
-	hashes, counts, _ := st.ds.FringeImageHashes()
-	if len(hashes) == 0 {
-		b.Skip("no fringe hashes")
-	}
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers_%d", workers), func(b *testing.B) {
-			cfg := cluster.DefaultDBSCANConfig()
-			cfg.Workers = workers
-			b.ReportAllocs()
-			b.ResetTimer()
-			var res cluster.Result
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = cluster.DBSCAN(hashes, counts, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.Neighbourhoods.PointsPerSec(), "neighbour_points_per_sec")
-			b.ReportMetric(float64(res.NumClusters), "clusters")
-		})
-	}
-}
-
-// BenchmarkPhashExtraction measures Step 1 hashing throughput. The steady
-// state is allocation-free (pooled hasher scratch + pruned DCT); CI gates
-// on allocs/op staying 0.
-func BenchmarkPhashExtraction(b *testing.B) {
-	tmpl := imaging.Template(1)
-	if _, err := HashImage(tmpl); err != nil { // warm the hasher pool
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := HashImage(tmpl); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

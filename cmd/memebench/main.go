@@ -1,30 +1,28 @@
-// Command memebench executes the repo's named performance benchmark set —
-// the build path (BenchmarkPipelineRun), the clustering phase
-// (BenchmarkDBSCAN), the serve path per index strategy
-// (BenchmarkEngineAssociate), the zero-alloc steady-state serve paths
-// (EngineAssociateSteady, EngineMatchSteady), one POST /v1/match through the
-// HTTP handler stack (ServeMatch), the Post wire codec over one 1,024-post
-// body (PostCodec/parse, PostCodec/append), the decision log's encode and
-// write of that request's 1,024 decisions (DecisionLog/upload), Step 1 hashing
-// (BenchmarkPhashExtraction), the streaming ingest fast path (Ingest,
-// posts/sec through Ingestor.Ingest), snapshot load-to-first-query per
-// format version (EngineSnapshotLoad), and Step 7 (ReportSections: the
-// first report of the process, then the reports after it) — and writes one
-// BENCH_<label>.json
-// document with ns/op, allocs/op, and the custom throughput metrics, using
-// the same machine-readable conventions as the CLIs' -format json stats.
-// The emitted file is one point of the repo's performance trajectory: CI
-// uploads BENCH_ci.json on every run, and curated points are committed at
-// the repo root.
+// Command memebench runs the repo's performance benchmark table and writes
+// one BENCH_<label>.json document with ns/op, allocs/op and the custom
+// throughput metrics of each row, in the machine-readable conventions of the
+// CLIs' -format json stats. The rows (see rows) cover the build path
+// (PipelineRun), DBSCAN's two phases (DBSCAN), the serve path per index
+// strategy (EngineAssociate, and the zero-alloc EngineAssociateSteady and
+// EngineMatchSteady), one POST /v1/match through the HTTP handler stack
+// (ServeMatch), the Post wire codec and the decision log over one 1,024-post
+// body (PostCodec/parse, PostCodec/append, DecisionLog/upload), snapshot
+// load-to-first-query per format version and the save (EngineSnapshotLoad,
+// EngineSnapshotSave), Step 1 hashing (PhashExtraction), the streaming
+// ingest fast path (Ingest) and Step 7 (ReportSections/warm, beside the one
+// sample of ReportSections/cold, the first report of the process). The
+// emitted file is one point of the repo's performance trajectory: CI uploads
+// BENCH_ci.json on every run, and curated points are committed at the repo
+// root.
 //
 // Usage:
 //
 //	memebench [-label ci] [-out BENCH_ci.json] [-benchtime 1x] [-workers N]
 //
-// The corpus matches the bench_test.go benchmark corpus, so numbers are
-// comparable with `go test -bench`. -benchtime accepts everything the
-// testing flag does ("1x", "100ms", ...); the default is the testing
-// package's 1s target.
+// `go test -bench . ./cmd/memebench` runs the same rows as sub-benchmarks of
+// BenchmarkRows, where -cpuprofile, -count and -bench filters apply.
+// -benchtime accepts everything the testing flag does ("1x", "100ms", ...);
+// the default is the testing package's 1s target.
 package main
 
 import (
@@ -45,6 +43,7 @@ import (
 	"time"
 
 	"github.com/memes-pipeline/memes"
+	"github.com/memes-pipeline/memes/internal/analysis"
 	"github.com/memes-pipeline/memes/internal/benchcorpus"
 	"github.com/memes-pipeline/memes/internal/cli"
 	"github.com/memes-pipeline/memes/internal/cluster"
@@ -87,81 +86,33 @@ func main() {
 	}
 
 	doc := cli.NewBenchDoc(*label, flag.Lookup("test.benchtime").Value.String(), full)
-	run := func(name string, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		if r.N == 0 {
-			// testing.Benchmark reports a failed fn (b.Fatal) only as a
-			// zero result; a zero point would silently corrupt the
-			// trajectory, so fail the run instead.
-			log.Fatalf("benchmark %s failed (zero iterations)", name)
-		}
-		doc.Add(name, r)
-		fmt.Fprintf(os.Stderr, "%-40s %12d ns/op %8d allocs/op", name, r.NsPerOp(), r.AllocsPerOp())
-		for k, v := range r.Extra {
-			fmt.Fprintf(os.Stderr, "  %.0f %s", v, k)
-		}
-		fmt.Fprintln(os.Stderr)
-	}
 
 	// The first report of a process also computes the sections that are the
 	// same for every corpus and are kept from then on: one sample, taken
 	// before anything else can have rendered them.
-	reports, err := st.newReportBench()
-	if err != nil {
-		log.Fatalf("preparing ReportSections: %v", err)
-	}
 	coldStart := time.Now()
-	if err := reports.render(); err != nil {
-		log.Fatalf("benchmark ReportSections/cold failed: %v", err)
+	if err := st.renderReport(); err != nil {
+		log.Fatalf("benchmark %s failed: %v", coldRow, err)
 	}
 	cold := testing.BenchmarkResult{N: 1, T: time.Since(coldStart)}
-	doc.Add("ReportSections/cold", cold)
-	fmt.Fprintf(os.Stderr, "%-40s %12d ns/op (one sample)\n", "ReportSections/cold", cold.NsPerOp())
-	run("ReportSections/warm", reports.bench)
+	doc.Add(coldRow, cold)
+	fmt.Fprintf(os.Stderr, "%-40s %12d ns/op (one sample)\n", coldRow, cold.NsPerOp())
 
-	workerCounts := []int{1}
-	if full > 1 {
-		workerCounts = append(workerCounts, full)
+	for _, r := range st.rows(full) {
+		res := testing.Benchmark(r.fn)
+		if res.N == 0 {
+			// testing.Benchmark reports a failed fn (b.Fatal) only as a
+			// zero result; a zero point would silently corrupt the
+			// trajectory, so fail the run instead.
+			log.Fatalf("benchmark %s failed (zero iterations)", r.name)
+		}
+		doc.Add(r.name, res)
+		fmt.Fprintf(os.Stderr, "%-40s %12d ns/op %8d allocs/op", r.name, res.NsPerOp(), res.AllocsPerOp())
+		for k, v := range res.Extra {
+			fmt.Fprintf(os.Stderr, "  %.0f %s", v, k)
+		}
+		fmt.Fprintln(os.Stderr)
 	}
-	for _, w := range workerCounts {
-		w := w
-		run(fmt.Sprintf("PipelineRun/workers_%d", w), func(b *testing.B) { st.benchPipelineRun(b, w) })
-	}
-	for _, w := range workerCounts {
-		w := w
-		run(fmt.Sprintf("DBSCAN/workers_%d", w), func(b *testing.B) { st.benchDBSCAN(b, w) })
-	}
-	for _, strategy := range memes.IndexStrategies() {
-		strategy := strategy
-		run("EngineAssociate/"+string(strategy), func(b *testing.B) { st.benchEngineAssociate(b, strategy) })
-	}
-	for _, strategy := range steadyStrategies() {
-		strategy := strategy
-		run("EngineAssociateSteady/"+string(strategy), func(b *testing.B) { st.benchEngineAssociateSteady(b, strategy) })
-	}
-	for _, strategy := range steadyStrategies() {
-		strategy := strategy
-		run("EngineMatchSteady/"+string(strategy), func(b *testing.B) { st.benchEngineMatchSteady(b, strategy) })
-	}
-	run("ServeMatch", func(b *testing.B) { st.benchServeMatch(b) })
-	codec, err := newPostCodecBench()
-	if err != nil {
-		log.Fatalf("preparing PostCodec: %v", err)
-	}
-	run("PostCodec/parse", codec.benchParse)
-	run("PostCodec/append", codec.benchAppend)
-	run("DecisionLog/upload", codec.benchUpload)
-	// Load-to-first-query runs before the heap-heavy Ingest benchmark so a
-	// GC cycle over ingest garbage cannot land inside the short timed loop.
-	for _, v := range []struct {
-		name    string
-		version uint32
-	}{{"v1", memes.SnapshotV1}, {"v2", memes.SnapshotV2}} {
-		v := v
-		run("EngineSnapshotLoad/"+v.name, func(b *testing.B) { st.benchEngineSnapshotLoad(b, v.version) })
-	}
-	run("PhashExtraction", func(b *testing.B) { benchPhashExtraction(b) })
-	run("Ingest", func(b *testing.B) { st.benchIngest(b) })
 
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -196,6 +147,61 @@ func main() {
 	}
 }
 
+// coldRow is the one measurement outside the table: the first report of the
+// process, which main times once before any row runs.
+const coldRow = "ReportSections/cold"
+
+// row is one benchmark of the table: its name in BENCH_*.json and its body.
+type row struct {
+	name string
+	fn   func(b *testing.B)
+}
+
+// rows is the benchmark table in run order; BenchmarkRows runs the same
+// rows under go test. The parallel variants run at one worker and, when
+// workers is above one, at workers. A row reads st only when it runs.
+func (st *benchState) rows(workers int) []row {
+	workerCounts := []int{1}
+	if workers > 1 {
+		workerCounts = append(workerCounts, workers)
+	}
+	rows := []row{{"ReportSections/warm", st.benchReportSections}}
+	for _, w := range workerCounts {
+		rows = append(rows, row{fmt.Sprintf("PipelineRun/workers_%d", w), func(b *testing.B) { st.benchPipelineRun(b, w) }})
+	}
+	for _, w := range workerCounts {
+		rows = append(rows, row{fmt.Sprintf("DBSCAN/workers_%d", w), func(b *testing.B) { st.benchDBSCAN(b, w) }})
+	}
+	for _, s := range memes.IndexStrategies() {
+		rows = append(rows, row{"EngineAssociate/" + string(s), func(b *testing.B) { st.benchEngineAssociate(b, s) }})
+	}
+	for _, s := range memes.IndexStrategies() {
+		rows = append(rows, row{"EngineAssociateSteady/" + string(s), func(b *testing.B) { st.benchEngineAssociateSteady(b, s) }})
+	}
+	for _, s := range memes.IndexStrategies() {
+		rows = append(rows, row{"EngineMatchSteady/" + string(s), func(b *testing.B) { st.benchEngineMatchSteady(b, s) }})
+	}
+	rows = append(rows,
+		row{"ServeMatch", st.benchServeMatch},
+		row{"PostCodec/parse", func(b *testing.B) { st.codec.benchParse(b) }},
+		row{"PostCodec/append", func(b *testing.B) { st.codec.benchAppend(b) }},
+		row{"DecisionLog/upload", func(b *testing.B) { st.codec.benchUpload(b) }},
+	)
+	// Load-to-first-query runs before the heap-heavy Ingest benchmark so a
+	// GC cycle over ingest garbage cannot land inside the short timed loop.
+	for _, v := range []struct {
+		name    string
+		version uint32
+	}{{"v1", memes.SnapshotV1}, {"v2", memes.SnapshotV2}} {
+		rows = append(rows, row{"EngineSnapshotLoad/" + v.name, func(b *testing.B) { st.benchEngineSnapshotLoad(b, v.version) }})
+	}
+	return append(rows,
+		row{"EngineSnapshotSave", st.benchEngineSnapshotSave},
+		row{"PhashExtraction", benchPhashExtraction},
+		row{"Ingest", st.benchIngest},
+	)
+}
+
 // gatedPrefixes names the benchmark families the -baseline gate covers: the
 // end-to-end build path and the per-strategy serve path.
 var gatedPrefixes = []string{"PipelineRun/", "EngineAssociate/"}
@@ -219,12 +225,6 @@ func gate(base, fresh *cli.BenchDoc, tolerance float64) []string {
 	return append(violations, cli.CompareBenchNs(base, fresh, nsGatedPrefixes, tolerance)...)
 }
 
-// steadyStrategies lists the index strategies whose steady-state serve path
-// is pinned to zero allocations: every built-in.
-func steadyStrategies() []memes.IndexStrategy {
-	return []memes.IndexStrategy{memes.IndexBKTree, memes.IndexMultiIndex, memes.IndexSharded}
-}
-
 // validateLabel rejects labels that would escape the working directory when
 // interpolated into the BENCH_<label>.json output filename.
 func validateLabel(label string) error {
@@ -242,12 +242,14 @@ func validateLabel(label string) error {
 	return nil
 }
 
-// benchState is the shared corpus — benchcorpus.Config, the same corpus
-// bench_test.go generates — so memebench numbers are comparable with
-// `go test -bench` output.
+// benchState is what the rows share: the benchmark corpus (the one
+// bench_test.go's table and figure benchmarks generate), its annotation site,
+// one saved engine of it for the reports, and the one-request codec workload.
 type benchState struct {
-	ds   *dataset.Dataset
-	site *memes.AnnotationSite
+	ds    *dataset.Dataset
+	site  *memes.AnnotationSite
+	snap  []byte
+	codec *postCodecBench
 }
 
 func newBenchState() (*benchState, error) {
@@ -259,63 +261,50 @@ func newBenchState() (*benchState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("building site: %w", err)
 	}
-	return &benchState{ds: ds, site: site}, nil
-}
-
-// reportBench renders the full report the way memeload's build_report does:
-// every report on an engine freshly loaded from snapshot bytes, because an
-// engine caches its Result and a report must not be timed against that.
-type reportBench struct {
-	st   *benchState
-	snap []byte
-}
-
-func (st *benchState) newReportBench() (*reportBench, error) {
-	eng, err := memes.NewEngine(context.Background(), st.ds, st.site)
+	eng, err := memes.NewEngine(context.Background(), ds, site)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("building engine: %w", err)
 	}
 	var buf bytes.Buffer
 	if err := eng.Save(&buf); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("saving engine: %w", err)
 	}
-	return &reportBench{st: st, snap: buf.Bytes()}, nil
+	codec, err := newPostCodecBench()
+	if err != nil {
+		return nil, fmt.Errorf("preparing PostCodec: %w", err)
+	}
+	return &benchState{ds: ds, site: site, snap: buf.Bytes(), codec: codec}, nil
 }
 
-// load returns an engine that has not produced its Result yet.
-func (r *reportBench) load() (*memes.Engine, error) {
-	return memes.LoadEngine(bytes.NewReader(r.snap), r.st.site, memes.WithDataset(r.st.ds))
+// loadReportEngine returns an engine freshly loaded from the snapshot, one
+// that has not produced its Result yet: a report is timed the way
+// memeload's build_report takes it, never against an engine's cached Result.
+func (st *benchState) loadReportEngine() (*memes.Engine, error) {
+	return memes.LoadEngine(bytes.NewReader(st.snap), st.site, memes.WithDataset(st.ds))
 }
 
-// render is one Result → NewReport → Sections.
-func (r *reportBench) render() error {
-	eng, err := r.load()
+// renderReport is one load → Result → NewReport → Sections.
+func (st *benchState) renderReport() error {
+	eng, err := st.loadReportEngine()
 	if err != nil {
 		return err
 	}
-	return renderReport(eng)
-}
-
-func renderReport(eng *memes.Engine) error {
-	rep, err := memes.NewReport(eng.Result())
-	if err != nil {
-		return err
-	}
-	_, err = rep.Sections()
+	_, err = analysis.NewReport(eng.Result()).Sections()
 	return err
 }
 
-// bench times the reports after the process's first, the load excluded.
-func (r *reportBench) bench(b *testing.B) {
+// benchReportSections times the reports after the process's first, the load
+// excluded.
+func (st *benchState) benchReportSections(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng, err := r.load()
+		eng, err := st.loadReportEngine()
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if err := renderReport(eng); err != nil {
+		if _, err := analysis.NewReport(eng.Result()).Sections(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -677,6 +666,25 @@ func (st *benchState) benchEngineSnapshotLoad(b *testing.B, version uint32) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchEngineSnapshotSave measures Engine.Save of the default format into a
+// buffer grown to the snapshot's size. Recorded, not gated.
+func (st *benchState) benchEngineSnapshotSave(b *testing.B) {
+	eng, err := memes.NewEngine(context.Background(), st.ds, st.site)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var w bytes.Buffer
+		w.Grow(len(st.snap))
+		if err := eng.Save(&w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(st.snap)), "snapshot_bytes")
 }
 
 // benchIngest measures the streaming-ingest fast path: every post in the

@@ -1,12 +1,71 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"github.com/memes-pipeline/memes/internal/cli"
 )
+
+// BenchmarkRows runs memebench's table as sub-benchmarks, so go test's
+// -bench filters, -count and -cpuprofile reach the bodies the -baseline
+// gate times. ReportSections/cold stays memebench's one-sample row.
+func BenchmarkRows(b *testing.B) {
+	st, err := newBenchState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	// memebench renders the process's first report before the table, so
+	// ReportSections/warm times the reports after it here too.
+	if err := st.renderReport(); err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range st.rows(runtime.GOMAXPROCS(0)) {
+		b.Run(r.name, r.fn)
+	}
+}
+
+// TestRowsMatchBaseline builds the table without running a row: its names
+// are unique, at -workers 2 they are the CI baseline's plus
+// EngineSnapshotSave, and every gated prefix names at least one row, so a
+// renamed row fails here rather than in CI's gate.
+func TestRowsMatchBaseline(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_pr50.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base cli.BenchDoc
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"EngineSnapshotSave"}
+	for _, b := range base.Benchmarks {
+		want = append(want, b.Name)
+	}
+	got := []string{coldRow}
+	for _, r := range (&benchState{}).rows(2) {
+		if slices.Contains(got, r.name) {
+			t.Errorf("row %s appears twice", r.name)
+		}
+		got = append(got, r.name)
+	}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("rows at -workers 2 = %v, want %v", got, want)
+	}
+	for _, prefixes := range [][]string{gatedPrefixes, allocGatedPrefixes, nsGatedPrefixes} {
+		for _, p := range prefixes {
+			if !slices.ContainsFunc(got, func(name string) bool { return strings.HasPrefix(name, p) }) {
+				t.Errorf("gated prefix %q matches no row", p)
+			}
+		}
+	}
+}
 
 // TestGateAppliesNsCeilings pins the -baseline gate's ns/op ceilings: a
 // ReportSections/warm or DBSCAN/workers_1 row twice as slow as the

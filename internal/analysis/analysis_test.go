@@ -473,10 +473,7 @@ func TestReportRenderAll(t *testing.T) {
 		t.Skip("full report is slow; skipped in -short mode")
 	}
 	res := getRun(t)
-	rep, err := NewReport(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := NewReport(res)
 	text, err := rep.RenderAll()
 	if err != nil {
 		t.Fatal(err)

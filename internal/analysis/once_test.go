@@ -69,10 +69,7 @@ func TestReportComputesEachInputOnce(t *testing.T) {
 		t.Fatalf("corpus has %d fittable series, %d distinct: nothing to share", fittable, len(distinct))
 	}
 
-	first, err := NewReport(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := NewReport(res)
 	sweeps := sweepsRun.Load()
 	cold, err := first.Sections()
 	if err != nil {
@@ -98,10 +95,7 @@ func TestReportComputesEachInputOnce(t *testing.T) {
 
 	// A fresh Report fits and scans for itself but not the constants, and
 	// renders the same bytes as the one that computed them.
-	second, err := NewReport(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := NewReport(res)
 	warm, err := second.Sections()
 	if err != nil {
 		t.Fatal(err)
@@ -195,10 +189,7 @@ func TestFitCacheSurvivesCancellation(t *testing.T) {
 // and holds each to what a Report of its own renders.
 func TestReportSharedAcrossGoroutines(t *testing.T) {
 	res := getRun(t)
-	shared, err := NewReport(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shared := NewReport(res)
 	renders := []func(*Report) (string, error){
 		(*Report).RenderInfluenceAll, (*Report).RenderInfluenceRacist, (*Report).RenderInfluencePolitical,
 		(*Report).RenderTable8, (*Report).RenderFigure17, (*Report).RenderFigure10,
@@ -218,10 +209,7 @@ func TestReportSharedAcrossGoroutines(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		own, err := NewReport(res)
-		if err != nil {
-			t.Fatal(err)
-		}
+		own := NewReport(res)
 		want, err := render(own)
 		if err != nil {
 			t.Fatal(err)
@@ -248,10 +236,7 @@ func TestReportConcurrentMatchesSerial(t *testing.T) {
 		t.Skip("full report is slow; skipped in -short mode")
 	}
 	res := getRun(t)
-	one, err := NewReport(withWorkers(res, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := NewReport(withWorkers(res, 1))
 	var want []Section
 	for _, s := range one.sectionList() {
 		text, err := s.render(context.Background())
@@ -262,10 +247,7 @@ func TestReportConcurrentMatchesSerial(t *testing.T) {
 	}
 	var text string
 	for _, workers := range []int{1, 2, 8} {
-		r, err := NewReport(withWorkers(res, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := NewReport(withWorkers(res, workers))
 		got, err := r.Sections()
 		if err != nil {
 			t.Fatal(err)
@@ -273,10 +255,7 @@ func TestReportConcurrentMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: sections differ from rendering them one by one", workers)
 		}
-		fresh, err := NewReport(withWorkers(res, workers))
-		if err != nil {
-			t.Fatal(err)
-		}
+		fresh := NewReport(withWorkers(res, workers))
 		all, err := fresh.RenderAll()
 		if err != nil {
 			t.Fatal(err)
@@ -310,10 +289,7 @@ func TestConcurrentReportFitsOnce(t *testing.T) {
 		}
 	}
 	for rep := 0; rep < 20; rep++ {
-		r, err := NewReport(res)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := NewReport(res)
 		sweeps := sweepsRun.Load()
 		var wg sync.WaitGroup
 		errs := make([]error, 2)
@@ -364,10 +340,7 @@ func TestReportCancelledMidway(t *testing.T) {
 	const budget = 1 << 40
 	probe := &tripCtx{Context: context.Background(), cancel: func() {}}
 	probe.left.Store(budget)
-	r, err := NewReport(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewReport(res)
 	if _, err := r.SectionsCtx(probe); err != nil {
 		t.Fatal(err)
 	}
@@ -378,10 +351,7 @@ func TestReportCancelledMidway(t *testing.T) {
 	defer cancel()
 	ctx := &tripCtx{Context: inner, cancel: cancel}
 	ctx.left.Store(calls / 2)
-	r, err = NewReport(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r = NewReport(res)
 	if _, err := r.SectionsCtx(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled mid-report: err = %v, want context.Canceled", err)
 	}

@@ -33,10 +33,10 @@ type Report struct {
 }
 
 // NewReport builds a report generator over a pipeline result.
-func NewReport(res *pipeline.Result) (*Report, error) {
+func NewReport(res *pipeline.Result) *Report {
 	r := &Report{res: res, metric: distance.New(), infCfg: DefaultInfluenceConfig(), fits: newFitCache()}
 	r.sweep = sync.OnceValues(func() (*polSweep, error) { return newPolSweep(res.Dataset) })
-	return r, nil
+	return r
 }
 
 // table8Eps and figure17Eps are the DBSCAN thresholds of the two sections

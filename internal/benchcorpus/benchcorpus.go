@@ -1,9 +1,9 @@
-// Package benchcorpus pins the single corpus configuration shared by every
-// performance harness — the `go test -bench` suite in bench_test.go and the
-// cmd/memebench trajectory runner — so their numbers stay comparable by
-// construction rather than by a keep-in-sync comment. Change it here and
-// every harness moves together (and the committed BENCH_*.json trajectory
-// points gain a new corpus generation).
+// Package benchcorpus pins the mid-sized synthetic corpus the repo measures
+// on: cmd/memebench's performance table, the table and figure benchmarks of
+// bench_test.go, and benchmark/cmd/memeload's `small` workloads all
+// generate it from here. Changing it starts a new corpus generation for the
+// committed BENCH_*.json trajectory points, which are then no longer
+// comparable with earlier ones.
 package benchcorpus
 
 import "github.com/memes-pipeline/memes/internal/dataset"

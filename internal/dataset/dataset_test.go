@@ -384,23 +384,6 @@ func TestFringeImageHashes(t *testing.T) {
 	}
 }
 
-func TestPostsOf(t *testing.T) {
-	ds := getSmall(t)
-	gab := ds.PostsOf(Gab)
-	for _, p := range gab {
-		if p.Community != Gab {
-			t.Fatal("PostsOf returned a foreign post")
-		}
-	}
-	total := 0
-	for _, c := range Communities() {
-		total += len(ds.PostsOf(c))
-	}
-	if total != len(ds.Posts) {
-		t.Fatal("PostsOf does not partition the posts")
-	}
-}
-
 func TestSaveAndLoadRoundTrip(t *testing.T) {
 	cfg := SmallConfig()
 	cfg.NumMemes = 6

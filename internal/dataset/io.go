@@ -206,17 +206,6 @@ func (d *Dataset) PlatformStats() []Stats {
 	return out
 }
 
-// PostsOf returns the posts of a single community, preserving time order.
-func (d *Dataset) PostsOf(c Community) []Post {
-	var out []Post
-	for _, p := range d.Posts {
-		if p.Community == c {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // FringeImageHashes returns the image hashes (with occurrence counts) of the
 // three fringe communities used to seed the clustering, in first-seen order.
 // The returned slices are aligned: hashes[i] occurred counts[i] times.

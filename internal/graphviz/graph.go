@@ -2,8 +2,8 @@
 // are the medoids of annotated clusters, edges connect clusters whose custom
 // distance falls below a threshold kappa, low-degree nodes are filtered out,
 // and the remaining graph is laid out with a force-directed algorithm
-// (standing in for the OpenOrd layout used by the paper) and exported as DOT
-// or JSON for inspection.
+// (standing in for the OpenOrd layout used by the paper) and exported as JSON
+// for inspection.
 package graphviz
 
 import (
@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 )
 
 // Node is a cluster in the visualisation graph.
@@ -268,21 +267,6 @@ func (g *Graph) Layout(cfg LayoutConfig) error {
 		temp *= 0.95
 	}
 	return nil
-}
-
-// DOT renders the graph in Graphviz DOT format.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	b.WriteString("graph memes {\n")
-	for _, n := range g.Nodes {
-		fmt.Fprintf(&b, "  n%d [label=%q, group=%q, width=%d, pos=\"%.1f,%.1f\"];\n",
-			n.ID, n.Label, n.Group, n.Size, n.X, n.Y)
-	}
-	for _, e := range g.Edges {
-		fmt.Fprintf(&b, "  n%d -- n%d [weight=%.3f];\n", e.From, e.To, e.Weight)
-	}
-	b.WriteString("}\n")
-	return b.String()
 }
 
 // JSON renders the graph as a JSON document with "nodes" and "edges" arrays,

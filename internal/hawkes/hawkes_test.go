@@ -76,27 +76,6 @@ func TestSortEventsAndCounts(t *testing.T) {
 	}
 }
 
-func TestIntensity(t *testing.T) {
-	m := twoProcessModel()
-	history := []Event{{Time: 1, Process: 0}}
-	// Just after the event, intensity of process 1 is elevated above its
-	// background by ~W[0][1]*Omega.
-	lam := m.Intensity(1, 1.001, history)
-	if lam <= m.Mu[1] {
-		t.Fatalf("intensity %v should exceed background %v", lam, m.Mu[1])
-	}
-	// Long after the event, it has relaxed back to the background.
-	lamLate := m.Intensity(1, 50, history)
-	if math.Abs(lamLate-m.Mu[1]) > 1e-6 {
-		t.Fatalf("intensity should relax to background, got %v", lamLate)
-	}
-	// Events at or after t do not contribute.
-	lamBefore := m.Intensity(1, 1.0, history)
-	if math.Abs(lamBefore-m.Mu[1]) > 1e-12 {
-		t.Fatalf("event at t should not contribute, got %v", lamBefore)
-	}
-}
-
 func TestSimulateBasicProperties(t *testing.T) {
 	m := twoProcessModel()
 	rng := rand.New(rand.NewSource(1))

@@ -107,19 +107,6 @@ func (m *Model) SpectralRadiusBound() float64 {
 	return max
 }
 
-// Intensity evaluates the conditional intensity of process k at time t given
-// the (time-sorted) history of events strictly before t.
-func (m *Model) Intensity(k int, t float64, history []Event) float64 {
-	lambda := m.Mu[k]
-	for _, e := range history {
-		if e.Time >= t {
-			break
-		}
-		lambda += m.W[e.Process][k] * m.Omega * math.Exp(-m.Omega*(t-e.Time))
-	}
-	return lambda
-}
-
 // SortEvents sorts events by time (stable on ties) in place and validates
 // process indexes against K.
 func SortEvents(events []Event, k int) error {

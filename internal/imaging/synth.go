@@ -213,21 +213,6 @@ func CropAndRescale(img *image.RGBA, rng *rand.Rand, frac float64) *image.RGBA {
 	return out
 }
 
-// GrayMatrix converts an image to a float64 luminance matrix in row-major
-// order, returning the matrix and its dimensions.
-func GrayMatrix(img image.Image) ([]float64, int, int) {
-	b := img.Bounds()
-	w, h := b.Dx(), b.Dy()
-	out := make([]float64, w*h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			r, g, bl, _ := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			out[y*w+x] = 0.299*float64(r>>8) + 0.587*float64(g>>8) + 0.114*float64(bl>>8)
-		}
-	}
-	return out, w, h
-}
-
 func cloneRGBA(src *image.RGBA) *image.RGBA {
 	dst := image.NewRGBA(src.Bounds())
 	copy(dst.Pix, src.Pix)

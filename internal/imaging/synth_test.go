@@ -200,19 +200,6 @@ func TestCropAndRescalePreservesDimensions(t *testing.T) {
 	}
 }
 
-func TestGrayMatrixDimensions(t *testing.T) {
-	img := TemplateSized(13, 40, 30)
-	pix, w, h := GrayMatrix(img)
-	if w != 40 || h != 30 || len(pix) != 1200 {
-		t.Fatalf("unexpected gray matrix shape %dx%d len %d", w, h, len(pix))
-	}
-	for _, v := range pix {
-		if v < 0 || v > 255 {
-			t.Fatalf("gray value out of range: %v", v)
-		}
-	}
-}
-
 func TestClampByteProperty(t *testing.T) {
 	f := func(v float64) bool {
 		b := clampByte(v)

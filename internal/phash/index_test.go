@@ -3,7 +3,6 @@ package phash
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -224,49 +223,6 @@ func TestMultiIndexResultsSorted(t *testing.T) {
 		return got[i].Hash < got[j].Hash
 	}) {
 		t.Fatal("results are not sorted by distance then hash")
-	}
-}
-
-func TestPairwiseWithinMatchesBrute(t *testing.T) {
-	hashes := randomHashes(8, 120)
-	rng := rand.New(rand.NewSource(9))
-	base := hashes[0]
-	for i := 0; i < 30; i++ {
-		hashes = append(hashes, perturb(rng, base, rng.Intn(8)))
-	}
-	const radius = 8
-	type pair struct{ i, j int }
-	want := make(map[pair]int)
-	for i := 0; i < len(hashes); i++ {
-		for j := i + 1; j < len(hashes); j++ {
-			if d := Distance(hashes[i], hashes[j]); d <= radius {
-				want[pair{i, j}] = d
-			}
-		}
-	}
-	got := make(map[pair]int)
-	var mu sync.Mutex
-	PairwiseWithin(hashes, radius, func(i, j, d int) {
-		mu.Lock()
-		got[pair{i, j}] = d
-		mu.Unlock()
-	})
-	if len(got) != len(want) {
-		t.Fatalf("got %d pairs, want %d", len(got), len(want))
-	}
-	for p, d := range want {
-		if got[p] != d {
-			t.Fatalf("pair %v: got distance %d, want %d", p, got[p], d)
-		}
-	}
-}
-
-func TestPairwiseWithinSmallInputs(t *testing.T) {
-	called := false
-	PairwiseWithin(nil, 8, func(i, j, d int) { called = true })
-	PairwiseWithin([]Hash{1}, 8, func(i, j, d int) { called = true })
-	if called {
-		t.Fatal("callback should not fire for fewer than two hashes")
 	}
 }
 

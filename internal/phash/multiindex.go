@@ -480,33 +480,3 @@ func (m *MultiIndex) Walk(fn func(h Hash, ids []int64) bool) {
 		lo = hi
 	}
 }
-
-// PairwiseWithin computes, in parallel, all pairs (i, j), i < j, of the given
-// hashes whose Hamming distance is at most radius. It is PairwiseWithinCtx
-// without cancellation, with fan-out bounded by GOMAXPROCS.
-func PairwiseWithin(hashes []Hash, radius int, fn func(i, j, d int)) {
-	_ = PairwiseWithinCtx(context.Background(), hashes, radius, 0, fn)
-}
-
-// PairwiseWithinCtx computes, in parallel, all pairs (i, j), i < j, of the
-// given hashes whose Hamming distance is at most radius. It is the drop-in
-// replacement for the paper's TensorFlow pairwise comparison step and is used
-// by DBSCAN's neighbourhood precomputation. The callback receives the indexes
-// of the pair and their distance; it must be safe for concurrent invocation.
-// workers bounds the fan-out (0 = GOMAXPROCS). Cancellation stops rows from
-// being scheduled and returns ctx.Err(); rows already dispatched complete.
-func PairwiseWithinCtx(ctx context.Context, hashes []Hash, radius, workers int, fn func(i, j, d int)) error {
-	n := len(hashes)
-	if n < 2 {
-		return ctx.Err()
-	}
-	return parallel.ForCtx(ctx, n, workers, func(i int) {
-		hi := hashes[i]
-		for j := i + 1; j < n; j++ {
-			d := Distance(hi, hashes[j])
-			if d <= radius {
-				fn(i, j, d)
-			}
-		}
-	})
-}

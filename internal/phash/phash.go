@@ -71,12 +71,6 @@ func Distance(a, b Hash) int {
 	return bits.OnesCount64(uint64(a ^ b))
 }
 
-// Similar reports whether the Hamming distance between a and b is at most
-// threshold.
-func Similar(a, b Hash, threshold int) bool {
-	return Distance(a, b) <= threshold
-}
-
 // String returns the canonical 16-character lowercase hexadecimal
 // representation of the hash, matching the string form used in the paper
 // (e.g. "55352b0b8d8b5b53").

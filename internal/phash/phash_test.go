@@ -266,17 +266,6 @@ func TestTextMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSimilar(t *testing.T) {
-	a := Hash(0)
-	b := Hash(0b1111)
-	if !Similar(a, b, 4) {
-		t.Error("distance 4 should be similar at threshold 4")
-	}
-	if Similar(a, b, 3) {
-		t.Error("distance 4 should not be similar at threshold 3")
-	}
-}
-
 func TestFromGrayMatchesFromImage(t *testing.T) {
 	img := blockImage(11, 96, 96)
 	hImg, err := FromImage(img)

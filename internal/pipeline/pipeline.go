@@ -34,14 +34,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"image"
 
 	"github.com/memes-pipeline/memes/internal/annotate"
 	"github.com/memes-pipeline/memes/internal/cluster"
 	"github.com/memes-pipeline/memes/internal/dataset"
 	"github.com/memes-pipeline/memes/internal/distance"
 	"github.com/memes-pipeline/memes/internal/index"
-	"github.com/memes-pipeline/memes/internal/parallel"
 	"github.com/memes-pipeline/memes/internal/phash"
 )
 
@@ -292,18 +290,4 @@ func clusterCommunity(ctx context.Context, ds *dataset.Dataset, comm dataset.Com
 		}
 	}
 	return communityPartial{summary: summary, hashes: hashes, counts: counts, dbres: dbres}, nil
-}
-
-// HashImagesCtx is the Step 1 helper for callers that hold raw images rather
-// than a generated dataset: it hashes every image concurrently and returns
-// the hashes in input order, honouring ctx cancellation. Nil images produce
-// an error.
-func HashImagesCtx(ctx context.Context, images []image.Image, workers int) ([]phash.Hash, error) {
-	return parallel.MapErrCtx(ctx, len(images), workers, func(i int) (phash.Hash, error) {
-		h, err := phash.FromImage(images[i])
-		if err != nil {
-			return 0, fmt.Errorf("pipeline: hashing image %d: %w", i, err)
-		}
-		return h, nil
-	})
 }

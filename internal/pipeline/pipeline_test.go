@@ -1,13 +1,10 @@
 package pipeline
 
 import (
-	"context"
-	"image"
 	"testing"
 
 	"github.com/memes-pipeline/memes/internal/cluster"
 	"github.com/memes-pipeline/memes/internal/dataset"
-	"github.com/memes-pipeline/memes/internal/imaging"
 	"github.com/memes-pipeline/memes/internal/phash"
 )
 
@@ -264,27 +261,5 @@ func TestClusterInfoFeatures(t *testing.T) {
 		if c.EntryName() == "" {
 			t.Fatal("annotated cluster without entry name")
 		}
-	}
-}
-
-func TestHashImages(t *testing.T) {
-	imgs := []image.Image{imaging.Template(1), imaging.Template(2), imaging.Template(3)}
-	hashes, err := HashImagesCtx(context.Background(), imgs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hashes) != 3 {
-		t.Fatalf("expected 3 hashes, got %d", len(hashes))
-	}
-	direct, _ := phash.FromImage(imgs[1])
-	if hashes[1] != direct {
-		t.Fatal("parallel hashing disagrees with direct hashing")
-	}
-	if _, err := HashImagesCtx(context.Background(), []image.Image{nil}, 1); err == nil {
-		t.Fatal("nil image should produce an error")
-	}
-	empty, err := HashImagesCtx(context.Background(), nil, 0)
-	if err != nil || len(empty) != 0 {
-		t.Fatal("empty input should produce an empty result")
 	}
 }

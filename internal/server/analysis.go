@@ -95,12 +95,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	s.reportMu.Unlock()
 
-	rep, err := analysis.NewReport(res)
-	if err != nil {
-		s.writeQueryError(w, "report", err)
-		return
-	}
-	sections, err := rep.SectionsCtx(r.Context())
+	sections, err := analysis.NewReport(res).SectionsCtx(r.Context())
 	if err != nil {
 		s.writeQueryError(w, "report", err)
 		return

@@ -203,10 +203,7 @@ func TestAnalysisDisabledWithoutDataset(t *testing.T) {
 // per-generation cache answers identically on a second request.
 func TestReportServedMatchesOffline(t *testing.T) {
 	e := newAnalysisEnv(t, nil, nil)
-	rep, err := analysis.NewReport(e.eng.Result())
-	if err != nil {
-		t.Fatalf("offline NewReport: %v", err)
-	}
+	rep := analysis.NewReport(e.eng.Result())
 	want, err := rep.Sections()
 	if err != nil {
 		t.Fatalf("offline Sections: %v", err)

@@ -75,46 +75,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Describe computes descriptive statistics of xs.
-func Describe(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	s := Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		StdDev: StdDev(xs),
-		Min:    xs[0],
-		Max:    xs[0],
-	}
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	return s, nil
-}
-
-// String renders the summary in a compact single-line form.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f median=%.3f sd=%.3f min=%.3f max=%.3f",
-		s.N, s.Mean, s.Median, s.StdDev, s.Min, s.Max)
-}
-
 // CDF is an empirical cumulative distribution function over a sample.
 type CDF struct {
 	sorted []float64
@@ -362,26 +322,4 @@ func Histogram(xs []float64, nBins int) (edges []float64, counts []int, err erro
 		counts[bin]++
 	}
 	return edges, counts, nil
-}
-
-// PearsonCorrelation returns the Pearson correlation coefficient of two
-// equal-length samples.
-func PearsonCorrelation(xs, ys []float64) (float64, error) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return 0, errors.New("stats: correlation requires equal-length non-empty samples")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var num, dx, dy float64
-	for i := range xs {
-		a := xs[i] - mx
-		b := ys[i] - my
-		num += a * b
-		dx += a * a
-		dy += b * b
-	}
-	den := math.Sqrt(dx * dy)
-	if den == 0 {
-		return 0, errors.New("stats: zero variance sample")
-	}
-	return num / den, nil
 }

@@ -49,22 +49,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	if _, err := Describe(nil); err == nil {
-		t.Fatal("expected error for empty sample")
-	}
-	s, err := Describe([]float64{4, 1, 3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || s.Mean != 2.5 {
-		t.Fatalf("unexpected summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("summary string should not be empty")
-	}
-}
-
 func TestCDF(t *testing.T) {
 	if _, err := NewCDF(nil); err == nil {
 		t.Fatal("expected error for empty CDF")
@@ -387,28 +371,5 @@ func TestHistogram(t *testing.T) {
 	}
 	if total != 3 {
 		t.Fatal("constant-sample histogram lost observations")
-	}
-}
-
-func TestPearsonCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := PearsonCorrelation(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(r, 1, 1e-12) {
-		t.Fatalf("perfect positive correlation = %v", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, _ = PearsonCorrelation(xs, neg)
-	if !almostEqual(r, -1, 1e-12) {
-		t.Fatalf("perfect negative correlation = %v", r)
-	}
-	if _, err := PearsonCorrelation(xs, xs[:3]); err == nil {
-		t.Fatal("expected error for unequal lengths")
-	}
-	if _, err := PearsonCorrelation([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Fatal("expected error for zero-variance sample")
 	}
 }

@@ -127,8 +127,8 @@ type Report = analysis.Report
 // see Report.Sections.
 type ReportSection = analysis.Section
 
-// NewReport builds a report generator.
-func NewReport(res *Result) (*Report, error) { return analysis.NewReport(res) }
+// NewReport builds a report generator. The error is always nil.
+func NewReport(res *Result) (*Report, error) { return analysis.NewReport(res), nil }
 
 // MemeGroup selects a subset of memes (all, racist, political, ...).
 type MemeGroup = analysis.MemeGroup
